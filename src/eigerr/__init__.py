@@ -9,14 +9,13 @@ them at desk scale.
 from .estimators import (
     BootstrapConfig,
     BootstrapResult,
-    ErrorSample,
-    HValue,
     aligned_residual,
     bootstrap_error,
     h_exact,
     h_exact_all,
     h_hat,
     regime_violation,
+    replicate_residuals,
     sample_size_bound,
 )
 from .graphs import (

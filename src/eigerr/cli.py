@@ -1,7 +1,8 @@
 """Command-line front end for the experiment runner.
 
 Every flag can also be supplied through an environment variable with the
-``EIGERR_`` prefix (explicit flags win). Exit codes: 0 success, 1
+``EIGERR_`` prefix (explicit flags win); anything left unset takes its
+default from ``ExperimentConfig``. Exit codes: 0 success, 1
 configuration error, 2 runtime error (with a machine-readable JSON error
 record on stderr).
 """
@@ -12,17 +13,24 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run, validate
 
 ENV_PREFIX = "EIGERR_"
 
+
+def _parse_n(text):
+    values = tuple(int(float(part)) for part in text.split(",") if part.strip())
+    if not values:
+        raise ValueError("no sample counts given")
+    return values
+
+
 _FLAGS = {
     # name, parser, help
     "p": (int, "matrix size / vertex count"),
     "k": (int, "graph degree"),
-    "n": (str, "sample count(s), comma separated, e.g. 1e7 or 1e3,1e4,1e5"),
+    "n": (_parse_n, "sample count(s), comma separated, e.g. 1e7 or 1e3,1e4,1e5"),
     "R": (int, "Wishart replicates per matrix"),
     "M": (int, "matrices per ensemble"),
     "lambda0": (float, "window center eigenvalue"),
@@ -32,43 +40,31 @@ _FLAGS = {
     "threads": (int, "worker threads for matrix/replicate parallelism"),
 }
 
-_DEFAULTS = {
-    "p": 100, "k": 20, "n": "1e7", "R": 10, "M": 10,
-    "lambda0": 20.0, "delta": 1.0, "seed": 0, "out": "out", "threads": 1,
-}
-
-
-def _parse_n(text):
-    try:
-        values = tuple(int(float(part)) for part in str(text).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse sample counts from {text!r}") from exc
-    if not values:
-        raise ConfigError("no sample counts given")
-    return values
-
 
 def _add_flags(parser):
-    for name, (caster, help_text) in _FLAGS.items():
+    defaults = ExperimentConfig().as_dict()
+    for name, (_, help_text) in _FLAGS.items():
+        default = defaults[name]
+        if name == "n":
+            default = ",".join(map(str, default))
         parser.add_argument(f"--{name}", type=str, default=None,
                             help=f"{help_text} (env {ENV_PREFIX}{name.upper()}, "
-                                 f"default {_DEFAULTS[name]})")
+                                 f"default {default})")
 
 
 def _resolve(args):
+    # Only flags and env vars actually given; ExperimentConfig fills the rest.
     values = {}
     for name, (caster, _) in _FLAGS.items():
         raw = getattr(args, name)
         if raw is None:
             raw = os.environ.get(ENV_PREFIX + name.upper())
         if raw is None:
-            raw = _DEFAULTS[name]
+            continue
         try:
             values[name] = caster(raw)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:  # e.g. --n inf
             raise ConfigError(f"bad value for --{name}: {raw!r}") from exc
-    values["n"] = _parse_n(values["n"])
-    values["out"] = Path(values["out"])
     return ExperimentConfig(**values)
 
 

@@ -14,7 +14,6 @@ threshold implied by the residual cap ||u - u_tilde||^2 <= 2.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,44 +22,17 @@ from .spectral import eig_sym
 from .wishart import child_seed, sample_wishart_scaled, sqrt_psd
 
 __all__ = [
-    "HValue",
-    "ErrorSample",
     "BootstrapConfig",
     "BootstrapResult",
     "h_exact",
     "h_exact_all",
     "h_hat",
     "aligned_residual",
+    "replicate_residuals",
     "bootstrap_error",
     "sample_size_bound",
     "regime_violation",
-    "write_estimates_csv",
 ]
-
-
-@dataclass(frozen=True)
-class HValue:
-    """Predictors attached to one eigenvalue (1-based index)."""
-
-    index: int
-    lam: float
-    h_exact: float | None = None
-    h_hat: float | None = None
-    with_correction: bool = True
-
-
-@dataclass(frozen=True)
-class ErrorSample:
-    """One aligned residual ||u_i - u_tilde_i||^2 from one Wishart draw."""
-
-    index: int
-    residual: float
-    n: int
-    replicate: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.residual <= 2.0:
-            raise ValueError("aligned residual must lie in [0, 2]")
 
 
 @dataclass(frozen=True)
@@ -160,9 +132,15 @@ def aligned_residual(u, u_tilde):
     return float(np.clip(2.0 * (1.0 - abs(float(u @ ut))), 0.0, 2.0))
 
 
-def _replicate_residuals(c, c_root, cfg, r):
-    seed = child_seed(cfg.seed, r)
-    draw = sample_wishart_scaled(c_root, cfg.n, seed)
+def replicate_residuals(c, c_root, n, seed):
+    """One scaled Wishart replicate around ``c``: residuals and crossing flags.
+
+    Draws C_tilde ~ W(C, n)/n from ``c_root`` = C^(1/2) with ``seed``, pairs
+    its eigenvectors with ``c``'s in sorted-index order, and returns the
+    residuals clip(2(1 - |<u_i, u_tilde_i>|), 0, 2) together with a per-index
+    flag for a probable eigenvalue crossing.
+    """
+    draw = sample_wishart_scaled(c_root, n, seed)
     _, v_tilde = eig_sym(draw.matrix)
     u = c.eigenvectors
     dots = np.abs(np.einsum("ij,ij->j", u, v_tilde))
@@ -192,7 +170,7 @@ def bootstrap_error(c, cfg):
     scaled = np.empty((cfg.R, p))
     crossings = np.zeros(p, dtype=np.int64)
     for r in range(cfg.R):
-        residuals, crossing = _replicate_residuals(c, c_root, cfg, r)
+        residuals, crossing = replicate_residuals(c, c_root, cfg.n, child_seed(cfg.seed, r))
         scaled[r] = cfg.n * residuals
         crossings += crossing
     n_mean = scaled.mean(axis=0)
@@ -212,27 +190,3 @@ def regime_violation(n, h):
     """True when n is below the h/2 validity bound."""
     return n < sample_size_bound(h)
 
-
-def write_estimates_csv(path, rows):
-    """Export per-index predictor/bootstrap rows.
-
-    Columns: index, lambda, h_exact, h_hat, h_hat_uncorrected, n_mean_error,
-    n_std_error, regime_violation. Missing entries are left empty.
-    """
-    header = ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
-              "n_mean_error", "n_std_error", "regime_violation"]
-
-    def cell(value):
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return str(int(value))
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return repr(float(value))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell(row.get(col)) for col in header])

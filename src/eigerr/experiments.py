@@ -20,26 +20,27 @@ import numpy as np
 
 from .estimators import (
     BootstrapConfig,
-    ErrorSample,
     bootstrap_error,
     h_exact_all,
     h_hat,
     regime_violation,
-    write_estimates_csv,
+    replicate_residuals,
 )
 from .graphs import is_connected, laplacian, sample_regular_graph
-from .hdensity import F_H, HDensityParams, f_H, tail_report, write_hdensity_csv, write_tail_report_json
+from .hdensity import F_H, HDensityParams, f_H, tail_report
 from .spectral import (
     SpectralDensity,
-    eig_sym,
     estimate_density,
     extract_gap_records,
     joint_gap_pdf,
     wigner_surmise_cdf,
     wigner_surmise_pdf,
-    write_gap_csv,
 )
-from .wishart import child_seed, sample_wishart_scaled, sqrt_psd
+from .wishart import child_seed, sqrt_psd
+
+# Unused here, but perfbench/spans.py wraps these two bindings by name.
+from .spectral import eig_sym  # noqa: F401
+from .wishart import sample_wishart_scaled  # noqa: F401
 
 __all__ = ["ExperimentConfig", "ConfigError", "EXPERIMENTS", "run", "validate"]
 
@@ -130,21 +131,27 @@ def _pool_gap_records(mats, lambda0, delta):
     return pooled
 
 
-def _write_csv(path, header, rows):
-    def cell(v):
-        if isinstance(v, bool):
-            return str(int(v))
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+ESTIMATE_COLUMNS = ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
+                    "n_mean_error", "n_std_error", "regime_violation"]
+HDENSITY_COLUMNS = ["h", "f_H", "F_H"]
 
+
+def _cell(v):
+    # The one cell rule of every CSV file: None -> empty, bool or integer ->
+    # decimal integer, any other number -> shortest round-trip float.
+    if v is None:
+        return ""
+    if isinstance(v, (int, np.integer, np.bool_)):  # bool is an int
+        return str(int(v))
+    return repr(float(v))
+
+
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([cell(v) for v in row])
+            writer.writerow([_cell(v) for v in row])
 
 
 def _write_json(path, payload):
@@ -173,7 +180,8 @@ def _run_spacing(config, out):
     records = _pool_gap_records(mats, config.lambda0, config.delta)
     if not records:
         raise RuntimeError("no eigenvalues found in the spacing window")
-    write_gap_csv(out / "gaps.csv", records)
+    _write_csv(out / "gaps.csv", ["index", "lambda", "s_minus", "s_plus"],
+               ((r.index, r.lam, r.s_minus, r.s_plus) for r in records))
     rho = SpectralDensity.mckay(config.k)(config.lambda0)
     normalized = np.array([config.p * r.s_plus for r in records])
     # KS against the surmise for t = p*s with scale rho(lambda0).
@@ -269,7 +277,8 @@ def _run_hhat_vs_h(config, out):
     mats, _ = _sample_ensemble(config)
     density = _ensemble_density(mats)
     rows = _bulk_estimate_rows(mats[0], density, config, config.n[0])
-    write_estimates_csv(out / "estimates.csv", rows)
+    _write_csv(out / "estimates.csv", ESTIMATE_COLUMNS,
+               ([row[c] for c in ESTIMATE_COLUMNS] for row in rows))
     hx = np.array([r["h_exact"] for r in rows])
     hh = np.array([r["h_hat"] for r in rows])
     hh0 = np.array([r["h_hat_uncorrected"] for r in rows])
@@ -296,7 +305,8 @@ def _run_bootstrap_vs_hhat(config, out):
         i = row["index"] - 1
         row["n_mean_error"] = float(result.n_mean[i])
         row["n_std_error"] = float(result.n_std[i])
-    write_estimates_csv(out / "estimates.csv", rows)
+    _write_csv(out / "estimates.csv", ESTIMATE_COLUMNS,
+               ([row[c] for c in ESTIMATE_COLUMNS] for row in rows))
     hh = np.array([r["h_hat"] for r in rows])
     hx = np.array([r["h_exact"] for r in rows])
     nm = np.array([r["n_mean_error"] for r in rows])
@@ -325,11 +335,12 @@ def _run_fh_density(config, out):
             "choose a window inside the bulk")
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
 
+    records = [extract_gap_records(mat.eigenvalues, config.lambda0, config.delta)
+               for mat in mats]
     h_rows = []
-    for m, mat in enumerate(mats):
-        ev = mat.eigenvalues
-        hx = h_exact_all(ev)
-        for rec in extract_gap_records(ev, config.lambda0, config.delta):
+    for m, (mat, recs) in enumerate(zip(mats, records)):
+        hx = h_exact_all(mat.eigenvalues)
+        for rec in recs:
             i = rec.index - 1
             rho_i = float(density(rec.lam))
             h_rows.append((m, rec.index, rec.lam, float(hx[i]),
@@ -348,9 +359,8 @@ def _run_fh_density(config, out):
 
     boots = _map_indexed(boot, len(mats), config.threads)
     b_rows = []
-    for m, mat in enumerate(mats):
-        ev = mat.eigenvalues
-        for rec in extract_gap_records(ev, config.lambda0, config.delta):
+    for m, recs in enumerate(records):
+        for rec in recs:
             i = rec.index - 1
             b_rows.append((m, rec.index, rec.lam,
                            float(boots[m].n_mean[i]), float(boots[m].n_std[i])))
@@ -360,7 +370,7 @@ def _run_fh_density(config, out):
     grid = _fh_grid(params)
     fh = [f_H(h, params) for h in grid]
     cdf = [F_H(h, params) for h in grid]
-    write_hdensity_csv(out / "fh.csv", grid, fh, cdf)
+    _write_csv(out / "fh.csv", HDENSITY_COLUMNS, zip(grid, fh, cdf))
 
     h_emp = np.array([r[3] for r in h_rows])
     _write_json(out / "stats.json", {
@@ -378,11 +388,15 @@ def _run_tail(config, out):
         raise RuntimeError(f"McKay density vanishes at lambda0={config.lambda0}")
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho)
     report = tail_report(params)
-    write_tail_report_json(out / "tail.json", report)
+    _write_json(out / "tail.json", {
+        "slope": report.fitted_slope,
+        "window": list(report.window),
+        "plateau_spread": report.plateau_ratio_spread,
+    })
     grid = np.geomspace(report.window[0], report.window[1], 25)
     fh = [f_H(h, params) for h in grid]
     cdf = [F_H(h, params) for h in grid]
-    write_hdensity_csv(out / "fh_tail.csv", grid, fh, cdf)
+    _write_csv(out / "fh_tail.csv", HDENSITY_COLUMNS, zip(grid, fh, cdf))
     return ["tail.json", "fh_tail.csv"]
 
 
@@ -395,18 +409,11 @@ def _run_bound_scatter(config, out):
     rows = []
     for ni, n in enumerate(config.n):
         for r in range(config.R):
-            seed = child_seed(config.seed, 2, ni, r)
-            draw = sample_wishart_scaled(c_root, n, seed)
-            _, v_tilde = eig_sym(draw.matrix)
-            dots = np.abs(np.einsum("ij,ij->j", mat.eigenvectors, v_tilde))
-            res = np.clip(2.0 * (1.0 - dots), 0.0, 2.0)
+            res, _ = replicate_residuals(mat, c_root, n, child_seed(config.seed, 2, ni, r))
             for i in range(ev.size):
-                sample = ErrorSample(index=i + 1, residual=float(res[i]),
-                                     n=n, replicate=r)
-                rows.append((sample.n, sample.replicate, sample.index,
-                             float(ev[i]), float(hx[i]), sample.residual,
-                             sample.n * sample.residual,
-                             bool(hx[i] > 0 and regime_violation(n, hx[i]))))
+                residual = float(res[i])
+                rows.append((n, r, i + 1, float(ev[i]), float(hx[i]), residual,
+                             n * residual, bool(hx[i] > 0 and regime_violation(n, hx[i]))))
     _write_csv(out / "bound_scatter.csv",
                ["n", "replicate", "index", "lambda", "h_exact",
                 "residual", "n_residual", "regime_violation"], rows)

@@ -23,7 +23,6 @@ __all__ = [
     "laplacian",
     "population_matrix",
     "is_connected",
-    "write_edge_list",
 ]
 
 MAX_RESTARTS = 1000
@@ -164,10 +163,3 @@ def is_connected(g):
                 stack.append(nxt)
     return bool(seen.all())
 
-
-def write_edge_list(path, g):
-    """Edge-list export: header `# p k seed`, then one `u v` pair per line."""
-    with open(path, "w") as fh:
-        fh.write(f"# {g.p} {g.k} {g.seed}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")

@@ -18,8 +18,6 @@ the joint gap surmise are included as an independent Monte-Carlo oracle.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -43,8 +41,6 @@ __all__ = [
     "phi",
     "tail_integral",
     "tail_report",
-    "write_hdensity_csv",
-    "write_tail_report_json",
 ]
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
@@ -78,6 +74,12 @@ def _coefs(params):
     return lam2, lam2 * params.a
 
 
+def _root(d, params):
+    # Positive root of A/s^2 + B/s = d for d > 0.
+    a_c, b_c = _coefs(params)
+    return (b_c + math.sqrt(b_c * b_c + 4.0 * a_c * d)) / (2.0 * d)
+
+
 def s0(h, params):
     """Gap below which a single side already pushes the estimate past h.
 
@@ -86,8 +88,7 @@ def s0(h, params):
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    a_c, b_c = _coefs(params)
-    return (b_c + np.sqrt(b_c * b_c + 4.0 * a_c * h)) / (2.0 * h)
+    return _root(h, params)
 
 
 def _residual(h, s_plus, params):
@@ -105,8 +106,7 @@ def s_star(h, s_plus, params):
     d = _residual(h, s_plus, params)
     if d <= 0:
         raise ValueError("s_plus must exceed s0(h) for a positive root to exist")
-    a_c, b_c = _coefs(params)
-    return (b_c + np.sqrt(b_c * b_c + 4.0 * a_c * d)) / (2.0 * d)
+    return _root(d, params)
 
 
 def ds_star_dh(h, s_plus, params):
@@ -141,10 +141,10 @@ def _log_fh_integrand(h, s_plus, params):
     d = _residual(h, s_plus, params)
     if d <= 0:
         return -math.inf
-    a_c, b_c = _coefs(params)
-    s = (b_c + math.sqrt(b_c * b_c + 4.0 * a_c * d)) / (2.0 * d)
+    s = _root(d, params)
     if not math.isfinite(s):
         return -math.inf
+    a_c, b_c = _coefs(params)
     a = params.a
     log_coef = 7.0 * math.log(3.0) + 5.0 * math.log(a) - math.log(32.0) - 3.0 * math.log(math.pi)
     b_exp = 9.0 * a * a / (4.0 * math.pi)
@@ -375,23 +375,3 @@ def tail_report(params, h_grid=None, n_points=25):
         u2_phi_ratio=float(phi(u2, params) / h_top),
     )
 
-
-def write_hdensity_csv(path, h_grid, fh_values, cdf_values):
-    """Export `h,f_H,F_H` on the given grid."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "f_H", "F_H"])
-        for h, f, cdf in zip(h_grid, fh_values, cdf_values):
-            writer.writerow([repr(float(h)), repr(float(f)), repr(float(cdf))])
-
-
-def write_tail_report_json(path, report):
-    """Export the tail report as JSON {slope, window, plateau_spread}."""
-    payload = {
-        "slope": report.fitted_slope,
-        "window": list(report.window),
-        "plateau_spread": report.plateau_ratio_spread,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -9,7 +9,6 @@ interpolation between bin centers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,6 @@ __all__ = [
     "wigner_surmise_pdf",
     "wigner_surmise_cdf",
     "joint_gap_pdf",
-    "write_density_csv",
-    "write_gap_csv",
 ]
 
 SYMMETRY_RTOL = 1e-10
@@ -61,7 +58,6 @@ def mckay_density(lam, k, shift=0.0):
     mu = np.asarray(lam, dtype=float) - shift
     edge2 = 4.0 * (k - 1.0)
     inside = mu * mu < edge2
-    out = np.zeros_like(mu)
     mu_in = np.where(inside, mu, 0.0)
     out = np.where(
         inside,
@@ -240,22 +236,3 @@ def joint_gap_pdf(s_minus, s_plus, p, rho):
     out = np.where((sm >= 0) & (sp >= 0), out, 0.0)
     return float(out) if out.ndim == 0 else out
 
-
-def write_density_csv(path, density, grid):
-    """Export `lambda,rho` sampled on a uniform grid."""
-    grid = np.asarray(grid, dtype=float)
-    values = density(grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "rho"])
-        for lam, rho in zip(grid, values):
-            writer.writerow([repr(float(lam)), repr(float(rho))])
-
-
-def write_gap_csv(path, records):
-    """Export gap records as `index,lambda,s_minus,s_plus`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "lambda", "s_minus", "s_plus"])
-        for rec in records:
-            writer.writerow([rec.index, repr(rec.lam), repr(rec.s_minus), repr(rec.s_plus)])

@@ -9,7 +9,6 @@ composing with a symmetric PSD square root instead of a Cholesky factor.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,7 @@ __all__ = [
     "sqrt_psd",
     "sample_wishart_scaled",
     "child_seed",
-    "dump_sample_covariance",
-    "load_sample_covariance",
 ]
-
-_DUMP_MAGIC = b"WSH1"
 
 
 @dataclass(frozen=True)
@@ -88,20 +83,3 @@ def sample_wishart_scaled(c_sqrt, n, seed):
     mat = (mat + mat.T) / 2.0
     return SampleCovariance(matrix=mat, n=n, parent_seed=seed)
 
-
-def dump_sample_covariance(path, sc):
-    """Debug dump: 16-byte header (magic, p, n) then row-major float64."""
-    p = sc.matrix.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", _DUMP_MAGIC, p, sc.n))
-        fh.write(np.ascontiguousarray(sc.matrix, dtype="<f8").tobytes())
-
-
-def load_sample_covariance(path):
-    """Read back a dump written by `dump_sample_covariance`."""
-    with open(path, "rb") as fh:
-        magic, p, n = struct.unpack("<4sIQ", fh.read(16))
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        data = np.frombuffer(fh.read(8 * p * p), dtype="<f8").reshape(p, p)
-    return SampleCovariance(matrix=data.copy(), n=int(n))

@@ -1,13 +1,10 @@
 """Exact and local error predictors, aligned residuals, bootstrap validation."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from eigerr import (
     BootstrapConfig,
-    ErrorSample,
     aligned_residual,
     bootstrap_error,
     h_exact,
@@ -17,7 +14,6 @@ from eigerr import (
     regime_violation,
     sample_size_bound,
 )
-from eigerr.estimators import write_estimates_csv
 
 
 class TestHExact:
@@ -123,11 +119,6 @@ class TestAlignedResidual:
         with pytest.raises(ValueError, match="unit"):
             aligned_residual(np.ones(3), np.eye(3)[:, 0])
 
-    def test_error_sample_validates_range(self):
-        ErrorSample(index=1, residual=1.5, n=100, replicate=0)
-        with pytest.raises(ValueError, match="0, 2"):
-            ErrorSample(index=1, residual=2.5, n=100, replicate=0)
-
     def test_bounds_and_flip_invariance(self, rng):
         for _ in range(200):
             u = rng.standard_normal(7)
@@ -229,18 +220,3 @@ class TestBound:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             sample_size_bound(0.0)
-
-
-class TestCsv:
-    def test_schema(self, tmp_path):
-        rows = [{
-            "index": 2, "lambda": 1.5, "h_exact": 3.25, "h_hat": 3.5,
-            "h_hat_uncorrected": 3.0, "n_mean_error": None,
-            "n_std_error": None, "regime_violation": False,
-        }]
-        path = tmp_path / "est.csv"
-        write_estimates_csv(path, rows)
-        got = list(csv.reader(path.open()))
-        assert got[0] == ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
-                          "n_mean_error", "n_std_error", "regime_violation"]
-        assert got[1] == ["2", "1.5", "3.25", "3.5", "3.0", "", "", "0"]

@@ -8,8 +8,18 @@ import os
 import numpy as np
 import pytest
 
+from eigerr import HDensityParams, SpectralDensity, extract_gap_records, tail_report
 from eigerr.cli import main
-from eigerr.experiments import ConfigError, ExperimentConfig, run, validate
+from eigerr.experiments import (
+    ESTIMATE_COLUMNS,
+    HDENSITY_COLUMNS,
+    ConfigError,
+    ExperimentConfig,
+    _write_csv,
+    _write_json,
+    run,
+    validate,
+)
 
 SMALL = dict(p=60, k=4, M=3, R=2, lambda0=4.0, delta=1.0, seed=5)
 
@@ -71,6 +81,11 @@ class TestRunners:
         assert rows[0] == ["s_minus_center", "s_plus_center",
                            "cell_prob_empirical", "cell_prob_surmise"]
         assert len(rows) == 1 + 100  # 10x10 grid
+        # every data cell is a plain number (no "np.float64(...)" reprs)
+        for row in rows[1:]:
+            assert len(row) == 4
+            for cell in row:
+                float(cell)
 
     def test_bound_scatter_multi_n(self, tmp_path):
         cfg = ExperimentConfig(out=tmp_path, n=(100, 200), **SMALL)
@@ -104,8 +119,12 @@ class TestRunners:
         cfg = ExperimentConfig(out=tmp_path, n=(1000,), **SMALL)
         run("tail", cfg)
         payload = json.loads((tmp_path / "tail.json").read_text())
-        assert set(payload) == {"slope", "window", "plateau_spread"}
         assert payload["slope"] == pytest.approx(-2.0, abs=0.15)
+        lam = SMALL["lambda0"]
+        params = HDensityParams(lam=lam, p=SMALL["p"], rho=SpectralDensity.mckay(SMALL["k"])(lam))
+        report = tail_report(params)
+        assert payload == {"slope": report.fitted_slope, "window": list(report.window),
+                           "plateau_spread": report.plateau_ratio_spread}
 
     def test_determinism_across_runs_and_threads(self, tmp_path):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -123,6 +142,59 @@ class TestRunners:
         for name in ("estimates.csv",):
             rows = read_csv(tmp_path / name)
             assert not any(ch.isdigit() for ch in rows[0][0])
+
+
+def _csv_text(*rows):
+    return "".join(",".join(row) + "\r\n" for row in rows)
+
+
+_DENSITY_GRID = np.array([15.0, 20.0])
+_GAP_RECORDS = extract_gap_records([1.0, 2.0, 3.0, 4.0], 2.5, 1.0)
+
+# name -> (writer, arguments after the path, exact file text)
+WRITER_CASES = {
+    "estimates": (
+        _write_csv,
+        (ESTIMATE_COLUMNS, [[2, 1.5, 3.25, 3.5, 3.0, None, None, False]]),
+        _csv_text(ESTIMATE_COLUMNS, ["2", "1.5", "3.25", "3.5", "3.0", "", "", "0"])),
+    "density": (
+        _write_csv,
+        (["lambda", "rho"],
+         list(zip(_DENSITY_GRID, SpectralDensity.mckay(20)(_DENSITY_GRID)))),
+        _csv_text(["lambda", "rho"], ["15.0", "0.06061832720744432"],
+                  ["20.0", "0.06937403133025387"])),
+    "gaps": (
+        _write_csv,
+        (["index", "lambda", "s_minus", "s_plus"],
+         [(r.index, r.lam, r.s_minus, r.s_plus) for r in _GAP_RECORDS]),
+        _csv_text(["index", "lambda", "s_minus", "s_plus"], ["2", "2.0", "1.0", "1.0"],
+                  ["3", "3.0", "1.0", "1.0"])),
+    "hdensity": (
+        _write_csv,
+        (HDENSITY_COLUMNS, list(zip([1.0, 2.0], [0.1, 0.2], [0.3, 0.5]))),
+        _csv_text(HDENSITY_COLUMNS, ["1.0", "0.1", "0.3"], ["2.0", "0.2", "0.5"])),
+    "numpy_scalars": (
+        _write_csv,
+        (["f64", "i64", "bool", "none"],
+         [(np.float64(0.012612788722549187), np.int64(7), np.bool_(True), None),
+          (np.float32(0.5), np.int32(-3), np.bool_(False), None)]),
+        _csv_text(["f64", "i64", "bool", "none"], ["0.012612788722549187", "7", "1", ""],
+                  ["0.5", "-3", "0", ""])),
+    "tail_json": (
+        _write_json,
+        ({"slope": -2.0, "window": [1.0, 100.0], "plateau_spread": 0.25},),
+        '{\n  "plateau_spread": 0.25,\n  "slope": -2.0,\n'
+        '  "window": [\n    1.0,\n    100.0\n  ]\n}\n'),
+}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_writer(self, tmp_path, case):
+        writer, args, expected = WRITER_CASES[case]
+        path = tmp_path / "out"
+        writer(path, *args)
+        assert path.read_bytes().decode() == expected
 
 
 class TestValidate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigerr import is_connected, laplacian, population_matrix, sample_regular_graph
-from eigerr.graphs import adjacency_matrix, incidence_matrix, write_edge_list
+from eigerr.graphs import adjacency_matrix, incidence_matrix
 
 
 def degrees(g):
@@ -107,14 +107,3 @@ class TestLaplacian:
         m = np.diag([3.0, 1.0, 2.0])
         c = population_matrix(m)
         np.testing.assert_allclose(c.eigenvalues, [1.0, 2.0, 3.0])
-
-
-class TestExport:
-    def test_edge_list_roundtrip(self, tmp_path):
-        g = sample_regular_graph(10, 3, seed=77)
-        path = tmp_path / "graph.txt"
-        write_edge_list(path, g)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "# 10 3 77"
-        pairs = tuple(tuple(map(int, line.split())) for line in lines[1:])
-        assert pairs == g.edges

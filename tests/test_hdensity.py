@@ -1,8 +1,6 @@
 """Semi-analytical density of the local error estimate: roots, quadrature,
 tail law, and the Monte-Carlo pushforward oracle."""
 
-import json
-
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -22,8 +20,6 @@ from eigerr.hdensity import (
     sample_joint_gaps,
     tail_integral,
     tail_report,
-    write_hdensity_csv,
-    write_tail_report_json,
 )
 
 UNIT = HDensityParams(lam=2.0, p=4, rho=0.25)  # a = 1, dimensionless workhorse
@@ -285,21 +281,3 @@ class TestTail:
             tail_report(UNIT, h_grid=np.geomspace(hms, 1e4 * hms, 10))
         with pytest.raises(ValueError, match="narrow"):
             tail_report(UNIT, h_grid=np.geomspace(100 * hms, 500 * hms, 10))
-
-
-class TestExports:
-    def test_hdensity_csv(self, tmp_path):
-        grid = [1.0, 2.0]
-        path = tmp_path / "fh.csv"
-        write_hdensity_csv(path, grid, [0.1, 0.2], [0.3, 0.5])
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "h,f_H,F_H"
-        assert lines[1] == "1.0,0.1,0.3"
-
-    def test_tail_json(self, tmp_path):
-        rep = tail_report(UNIT, n_points=8)
-        path = tmp_path / "tail.json"
-        write_tail_report_json(path, rep)
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"slope", "window", "plateau_spread"}
-        assert payload["slope"] == rep.fitted_slope

@@ -1,7 +1,5 @@
 """Eigensolver contract, density models, gap records, and spacing surmises."""
 
-import csv
-
 import numpy as np
 import pytest
 from scipy import integrate
@@ -18,7 +16,6 @@ from eigerr import (
     wigner_surmise_cdf,
     wigner_surmise_pdf,
 )
-from eigerr.spectral import write_density_csv, write_gap_csv
 
 
 class TestEigSym:
@@ -238,22 +235,3 @@ class TestJointSurmise:
         assert 0 < mode < marginal.size - 1
         assert (np.diff(marginal[:mode + 1]) > 0).all()
         assert (np.diff(marginal[mode:]) < 0).all()
-
-
-class TestExports:
-    def test_density_csv(self, tmp_path):
-        d = SpectralDensity.mckay(20)
-        path = tmp_path / "density.csv"
-        write_density_csv(path, d, np.linspace(15.0, 25.0, 11))
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["lambda", "rho"]
-        assert len(rows) == 12
-        assert float(rows[6][1]) == pytest.approx(d(np.linspace(15.0, 25.0, 11)[5]))
-
-    def test_gap_csv(self, tmp_path):
-        recs = extract_gap_records([1.0, 2.0, 3.0, 4.0], 2.5, 1.0)
-        path = tmp_path / "gaps.csv"
-        write_gap_csv(path, recs)
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["index", "lambda", "s_minus", "s_plus"]
-        assert rows[1] == ["2", "2.0", "1.0", "1.0"]

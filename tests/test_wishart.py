@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from eigerr import laplacian, sample_regular_graph, sqrt_psd
-from eigerr.wishart import (
-    child_seed,
-    dump_sample_covariance,
-    load_sample_covariance,
-    sample_wishart_scaled,
-)
+from eigerr.wishart import child_seed, sample_wishart_scaled
 
 
 class TestSqrtPsd:
@@ -113,21 +108,3 @@ class TestBartlettSampling:
         root = np.eye(3)
         draw = sample_wishart_scaled(root, 10 ** 10, seed=1)
         assert np.abs(draw.matrix - np.eye(3)).max() < 1e-4
-
-
-class TestDump:
-    def test_roundtrip(self, tmp_path):
-        root = sqrt_psd(np.diag([1.0, 4.0]))
-        draw = sample_wishart_scaled(root, 17, seed=3)
-        path = tmp_path / "draw.bin"
-        dump_sample_covariance(path, draw)
-        assert path.stat().st_size == 16 + 8 * 4
-        back = load_sample_covariance(path)
-        assert back.n == 17
-        np.testing.assert_array_equal(back.matrix, draw.matrix)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 12)
-        with pytest.raises(ValueError, match="magic"):
-            load_sample_covariance(path)
