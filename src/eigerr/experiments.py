@@ -65,6 +65,9 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # A string is iterable too: "100" would become n=(1, 0, 0).
+        if isinstance(self.n, (str, bytes)):
+            raise ConfigError(f"n must be an integer or a sequence of integers, not {self.n!r}")
         self.n = tuple(int(v) for v in (self.n if hasattr(self.n, "__iter__") else (self.n,)))
         self.out = Path(self.out)
 
@@ -368,8 +371,8 @@ def _run_fh_density(config, out):
                ["matrix", "index", "lambda", "n_mean_error", "n_std_error"], b_rows)
 
     grid = _fh_grid(params)
-    fh = [f_H(h, params) for h in grid]
-    cdf = [F_H(h, params) for h in grid]
+    fh = f_H(grid, params)
+    cdf = F_H(grid, params)
     _write_csv(out / "fh.csv", HDENSITY_COLUMNS, zip(grid, fh, cdf))
 
     h_emp = np.array([r[3] for r in h_rows])
@@ -394,8 +397,8 @@ def _run_tail(config, out):
         "plateau_spread": report.plateau_ratio_spread,
     })
     grid = np.geomspace(report.window[0], report.window[1], 25)
-    fh = [f_H(h, params) for h in grid]
-    cdf = [F_H(h, params) for h in grid]
+    fh = f_H(grid, params)
+    cdf = F_H(grid, params)
     _write_csv(out / "fh_tail.csv", HDENSITY_COLUMNS, zip(grid, fh, cdf))
     return ["tail.json", "fh_tail.csv"]
 

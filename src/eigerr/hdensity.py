@@ -8,9 +8,10 @@ through the local estimate
 
 induces a probability density f_H(h). This module evaluates f_H and its
 cumulative F_H semi-analytically: the level set h_hat = h is solved in
-closed form (``s0``, ``s_star``), and the remaining one- or two-dimensional
-integrals are done by adaptive Gauss-Kronrod quadrature. The large-h tail
-obeys f_H = O(p^2/h^2), which ``tail_report`` verifies numerically.
+closed form (``s0``, ``s_star``), and both reduce to one-dimensional
+integrals over half of it, summed by a fixed Gauss-Legendre rule checked at
+two orders. The large-h tail obeys f_H = O(p^2/h^2), which ``tail_report``
+verifies numerically.
 
 Everything is a function of (lam, a = p*rho) only; sampling utilities for
 the joint gap surmise are included as an independent Monte-Carlo oracle.
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfcx
 
 from .estimators import h_hat
 from .spectral import joint_gap_pdf, wigner_surmise_pdf
@@ -42,9 +44,6 @@ __all__ = [
     "tail_integral",
     "tail_report",
 ]
-
-_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
-
 
 @dataclass(frozen=True)
 class HDensityParams:
@@ -77,7 +76,7 @@ def _coefs(params):
 def _root(d, params):
     # Positive root of A/s^2 + B/s = d for d > 0.
     a_c, b_c = _coefs(params)
-    return (b_c + math.sqrt(b_c * b_c + 4.0 * a_c * d)) / (2.0 * d)
+    return (b_c + np.sqrt(b_c * b_c + 4.0 * a_c * d)) / (2.0 * d)
 
 
 def s0(h, params):
@@ -120,120 +119,117 @@ def ds_star_dh(h, s_plus, params):
     return -s ** 3 / (2.0 * a_c + b_c * s)
 
 
-def _gap_cut(params):
-    # Beyond ~12 mean gaps the Gaussian factor of J is below 1e-40.
-    return 12.0 / params.a
-
-
-def _joint_scalar(sm, sp, a):
-    # Scalar fast path of joint_gap_pdf for the quadrature hot loop.
-    if sm <= 0.0 or sp <= 0.0:
-        return 0.0
-    b = 9.0 * a * a / (4.0 * math.pi)
-    expo = -b * (sm * sm + sp * sp + sm * sp)
-    if expo < -745.0:
-        return 0.0
-    coef = 2187.0 * a ** 5 / (32.0 * math.pi ** 3)  # 3^7 = 2187
-    return coef * sm * sp * (sm + sp) * math.exp(expo)
-
-
-def _log_fh_integrand(h, s_plus, params):
-    d = _residual(h, s_plus, params)
-    if d <= 0:
-        return -math.inf
-    s = _root(d, params)
-    if not math.isfinite(s):
-        return -math.inf
-    a_c, b_c = _coefs(params)
-    a = params.a
-    log_coef = 7.0 * math.log(3.0) + 5.0 * math.log(a) - math.log(32.0) - 3.0 * math.log(math.pi)
-    b_exp = 9.0 * a * a / (4.0 * math.pi)
-    quad_form = s * s + s_plus * s_plus + s * s_plus
-    # J(s, s+) * |ds/dh| with |ds/dh| = s^3 / (2A + B s), all in log space so
-    # huge s near the lower endpoint cannot overflow the polynomial factors.
-    return (log_coef + math.log(s_plus) + 4.0 * math.log(s) + math.log(s + s_plus)
-            - math.log(2.0 * a_c + b_c * s) - b_exp * quad_form)
-
-
-def _checked_quad(func, lo, hi, points=None, epsrel=None):
-    opts = _QUAD_OPTS if epsrel is None else dict(_QUAD_OPTS, epsrel=epsrel)
-    res = quad(func, lo, hi, points=points, full_output=1, **opts)
+def _checked_quad(func, lo, hi, points=None):
+    res = quad(func, lo, hi, points=points, full_output=1, epsabs=0.0, epsrel=1e-10, limit=200)
     value, abserr = res[0], res[1]
-    if len(res) > 3 and abserr > max(1e-8, 1e-6 * abs(value)):
+    # Relative gate: an absolute floor would pass any failure on a smaller integral.
+    if len(res) > 3 and abserr > max(1e-6 * abs(value), np.finfo(float).tiny):
         raise RuntimeError(f"quadrature did not converge: {res[3]}")
     return value
+
+
+# Fixed Gauss-Legendre rules: every integral is summed at both orders on the
+# same panels, and the two sums must agree to _RULE_RTOL.
+_RULES = [np.polynomial.legendre.leggauss(n) for n in (64, 40)]
+_RULE_RTOL = 1e-6
+# Half-arc panels in units of the mean gap 1/a, measured from the symmetric
+# point s_eq; the Gaussian factor of J is below 1e-40 past 12 mean gaps.
+_ARC_EDGES = np.array([0.0, 0.1, 1.0, 12.0])
+# f_H_mass panels in log(h / h_typ), h_typ = 4 (lam a)^2; f_H depends on h only
+# through h / (lam a)^2, so one set of edges serves every (lam, a).
+_MASS_EDGES = np.log([1e-3, 1e-1, 1.0, 10.0, 2e4])
+
+
+def _fixed_rule(integrand, edges):
+    # Integrate integrand(nodes) along the panels of each row of edges (m, k+1).
+    half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+    sums = []
+    for x, w in _RULES:
+        nodes = (mid + half * x).reshape(len(edges), -1)
+        weights = (half * w).reshape(len(edges), -1)
+        sums.append(np.sum(integrand(nodes) * weights, axis=1))
+    fine, coarse = sums
+    # Relative above the underflow scale, where sums lose digits; NaN fails.
+    tol = np.maximum(_RULE_RTOL * np.abs(fine), np.finfo(float).tiny)
+    bad = ~(np.abs(fine - coarse) <= tol)
+    if bad.any():
+        raise RuntimeError(
+            f"quadrature did not converge at {int(bad.sum())} of {bad.size} points: "
+            f"the two orders differ by more than {_RULE_RTOL:g} or the sum is not finite")
+    return fine
+
+
+def _half_arc_rule(h, params, integrand):
+    # Sum integrand(s_star, s_eq, s+) over s+ in [s_eq, s_eq + 12/a] for every
+    # h; s_star = s_star(h, s+) <= s_eq there. A scalar h gives a float.
+    h = np.asarray(h, dtype=float)
+    if not np.all(h > 0):
+        raise ValueError("h must be positive")
+    h_col = h.reshape(-1, 1)
+    s_eq = _root(h_col / 2.0, params)
+    values = _fixed_rule(
+        lambda s_plus: integrand(_root(_residual(h_col, s_plus, params), params), s_eq, s_plus),
+        s_eq + _ARC_EDGES / params.a)
+    return float(values[0]) if h.ndim == 0 else values.reshape(h.shape)
 
 
 def f_H(h, params):
     """Semi-analytical density of the local error estimate at fixed lam.
 
-    f_H(h) = -int_{s0(h)}^inf J(s_star(h, s+), s+) ds_star/dh ds+, evaluated
-    by adaptive quadrature with the semi-infinite tail truncated where the
-    Gaussian factor of J is negligible. The integrand is 0 at the lower
-    endpoint (s_star diverges but J wins) and is evaluated in log space.
+    f_H(h) = -int J(s_star(h, s+), s+) ds_star/dh ds+ along the level set
+    h_hat = h. J and the level set are symmetric in (s-, s+), so this is
+    twice the integral over the half arc s+ >= s_eq = s0(h/2), where the
+    integrand is smooth. ``h`` is a scalar (returns a float) or an array.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    lo = s0(h, params)
-    hi = lo + _gap_cut(params)
+    a_c, b_c = _coefs(params)
 
-    def integrand(s_plus):
-        log_val = _log_fh_integrand(h, s_plus, params)
-        return 0.0 if log_val < -745.0 else math.exp(log_val)
+    def integrand(s, _, x):
+        # Twice J(s, x) |ds/dh| at s+ = x, with |ds/dh| = s^3 / (2A + B s).
+        return 2.0 * joint_gap_pdf(s, x, params.p, params.rho) * s ** 3 / (2.0 * a_c + b_c * s)
 
-    points = [x for x in (2.0 * lo, 1.0 / params.a) if lo < x < hi]
-    return _checked_quad(integrand, lo, hi, points=sorted(points))
+    return _half_arc_rule(h, params, integrand)
+
+
+def _upper_mass(lo, x, params):
+    # int_lo^inf J(y, x) dy, J = c x y (x + y) e^(-b (x^2 + y^2 + x y)): with
+    # t = y + x/2 the exponent is -b (t^2 + 3 x^2 / 4) and y (y + x) = t^2 - x^2 / 4;
+    # erfc is written as erfcx times its Gaussian, which joins J's.
+    a = params.a
+    c = 2187.0 * a ** 5 / (32.0 * math.pi ** 3)  # 3^7 = 2187
+    b = 9.0 * a * a / (4.0 * math.pi)
+    t0 = lo + 0.5 * x
+    tail = t0 / (2.0 * b) + (0.5 / b - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / b) \
+        * erfcx(math.sqrt(b) * t0)
+    return c * x * tail * np.exp(-b * (lo * lo + lo * x + x * x))
 
 
 def F_H(h, params):
-    """Cumulative probability P(h_hat < h) as a double integral of J.
+    """Cumulative probability P(h_hat < h) of the joint gap surmise J.
 
-    Integrates the joint gap surmise over the region s+ in (s0(h), inf),
-    s- in (s_star(h, s+), inf); nondecreasing in h and -> 1 as h -> inf.
+    The region s+ > s0(h), s- > s_star(h, s+) is split at s_eq = s0(h/2);
+    mirroring the part s+ < s_eq and swapping its order of integration gives
+    F_H(h) = int_{s_eq}^inf [2 I(s_star(h, x), x) - I(s_eq, x)] dx with the
+    closed form I(lo, x) = int_lo^inf J(y, x) dy. Nondecreasing in h and
+    -> 1 as h -> inf. ``h`` is a scalar (returns a float) or an array.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    lo = s0(h, params)
-    cut = _gap_cut(params)
-    outer_hi = lo + cut
+    def integrand(s, s_eq, x):
+        return 2.0 * _upper_mass(s, x, params) - _upper_mass(s_eq, x, params)
 
-    a = params.a
-
-    def inner(s_plus):
-        d = _residual(h, s_plus, params)
-        if d <= 0:
-            return 0.0
-        start = s_star(h, s_plus, params)
-        stop = max(start, lo) + cut
-        if start >= stop:
-            return 0.0
-        return _checked_quad(
-            lambda s_minus: _joint_scalar(s_minus, s_plus, a),
-            start, stop, epsrel=1e-9,
-        )
-
-    points = [x for x in (2.0 * lo, 1.0 / params.a) if lo < x < outer_hi]
-    return _checked_quad(inner, lo, outer_hi, points=sorted(points), epsrel=1e-9)
+    return _half_arc_rule(h, params, integrand)
 
 
-def f_H_mass(params, h_hi=None):
-    """Total mass of f_H: log-domain quadrature plus the 1/h^2 tail closure.
+def f_H_mass(params):
+    """Total mass of f_H: a fixed rule in t = log h plus the 1/h^2 tail closure.
 
-    The integral over (0, h_hi) is done in t = log h; the mass beyond h_hi
-    is completed as f_H(h_hi) * h_hi, exact for a pure h^-2 tail. Mass below
-    the lower cutoff is doubly-exponentially small and ignored.
+    The integral runs over h in (1e-3, 2e4) h_typ; the mass beyond the top is
+    completed as f_H(h_hi) * h_hi, exact for a pure h^-2 tail. Mass below the
+    lower cutoff is doubly-exponentially small and ignored.
     """
-    h_typ = 4.0 * (params.lam * params.a) ** 2
-    if h_hi is None:
-        h_hi = 2e4 * h_typ
-    t_lo, t_hi = np.log(1e-3 * h_typ), np.log(h_hi)
-
-    def integrand(t):
-        h = math.exp(t)
-        return f_H(h, params) * h
-
-    mass = _checked_quad(integrand, t_lo, t_hi, points=[np.log(h_typ)], epsrel=1e-7)
-    return mass + f_H(h_hi, params) * h_hi
+    edges = math.log(4.0 * (params.lam * params.a) ** 2) + _MASS_EDGES
+    h_hi = math.exp(edges[-1])
+    mass = _fixed_rule(lambda t: f_H(np.exp(t), params) * np.exp(t), edges[None, :])[0]
+    return float(mass + f_H(h_hi, params) * h_hi)
 
 
 def sample_joint_gaps(params, size, seed, batch=None):
@@ -355,7 +351,7 @@ def tail_report(params, h_grid=None, n_points=25):
     if h_grid[-1] < 100.0 * h_grid[0] * (1.0 - 1e-9):
         raise ValueError("tail grid too narrow: need at least two decades")
 
-    fh = np.array([f_H(h, params) for h in h_grid])
+    fh = f_H(h_grid, params)
     slope = float(np.polyfit(np.log(h_grid), np.log(fh), 1)[0])
 
     ivals = np.array([tail_integral(h, params) for h in h_grid])

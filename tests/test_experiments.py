@@ -46,6 +46,12 @@ class TestConfig:
         cfg = ExperimentConfig(p=10, k=2, n=1000)
         assert cfg.n == (1000,)
 
+    @pytest.mark.parametrize("raw", ["100", "1e7", b"100"], ids=["int", "float", "bytes"])
+    def test_string_n_rejected(self, raw):
+        # a string would iterate into digits: "100" -> (1, 0, 0)
+        with pytest.raises(ConfigError, match="^n must be"):
+            ExperimentConfig(p=10, k=2, n=raw)
+
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown experiment"):
             run("nope", ExperimentConfig(out=tmp_path, **SMALL))

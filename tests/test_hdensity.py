@@ -1,14 +1,19 @@
 """Semi-analytical density of the local error estimate: roots, quadrature,
 tail law, and the Monte-Carlo pushforward oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
+from scipy.integrate import quad
 
-from eigerr import h_hat
+from eigerr import SpectralDensity, h_hat, joint_gap_pdf
+from eigerr.experiments import _fh_grid
 from eigerr.hdensity import (
     F_H,
     HDensityParams,
+    _checked_quad,
     ds_star_dh,
     f_H,
     f_H_mass,
@@ -23,6 +28,8 @@ from eigerr.hdensity import (
 )
 
 UNIT = HDensityParams(lam=2.0, p=4, rho=0.25)  # a = 1, dimensionless workhorse
+# Reference point of the fh-density and tail experiments: McKay_20 at lam=20.
+LAM20 = HDensityParams(lam=20.0, p=1000, rho=SpectralDensity.mckay(20)(20.0))
 
 
 def params_grid():
@@ -184,6 +191,90 @@ class TestCumulative:
         for target in (8.0, 16.0, 40.0):
             approx = np.interp(target, grid, cum)
             assert F_H(target, UNIT) == pytest.approx(approx, abs=1e-3)
+
+
+def _joint(sm, sp, a):
+    # Scalar joint_gap_pdf, fast enough for nested adaptive quad.
+    b = 9.0 * a * a / (4.0 * math.pi)
+    return 2187.0 * a ** 5 / (32.0 * math.pi ** 3) * sm * sp * (sm + sp) \
+        * math.exp(-b * (sm * sm + sp * sp + sm * sp))
+
+
+def _quad(func, lo, hi, points=None, epsrel=1e-10):
+    return quad(func, lo, hi, points=points, epsabs=0.0, epsrel=epsrel, limit=400,
+                full_output=1)[0]
+
+
+def _arc_quad(h, params, lo, hi, points, epsrel=1e-10):
+    # Adaptive oracle: int J(s_star, s+) |ds_star/dh| ds+ over (lo, hi).
+    def integrand(sp):
+        return -_joint(s_star(h, sp, params), sp, params.a) * ds_star_dh(h, sp, params)
+
+    return _quad(integrand, lo, hi, points, epsrel)
+
+
+def _adaptive_f(h, params):
+    # The former f_H route: the full level-set arc s+ > s0(h).
+    lo = s0(h, params)
+    hi = lo + 12.0 / params.a
+    return _arc_quad(h, params, lo, hi,
+                     sorted(x for x in (2.0 * lo, 1.0 / params.a) if lo < x < hi))
+
+
+def _adaptive_F(h, params):
+    # The former F_H route: nested quad of J over s+ > s0(h), s- > s_star(h, s+).
+    lo = s0(h, params)
+    cut = 12.0 / params.a
+
+    def inner(sp):
+        start = s_star(h, sp, params)
+        return _quad(lambda sm: _joint(sm, sp, params.a), start, max(start, lo) + cut)
+
+    return _quad(inner, lo, lo + cut,
+                 sorted(x for x in (2.0 * lo, 1.0 / params.a) if lo < x < lo + cut))
+
+
+class TestFixedRule:
+    def test_tail_matches_half_arc_oracle(self):
+        # The four tail-grid points where adaptive quad over the full arc
+        # misses the mirror half (h / h_min = 3831 ... 6813): twice the
+        # right half arc s+ > s0(h/2) is the oracle.
+        hms = h_min_scale(LAM20)
+        for h in np.geomspace(100.0 * hms, 1e4 * hms, 25)[19:23]:
+            lo = s0(h / 2.0, LAM20)
+            oracle = 2.0 * _arc_quad(h, LAM20, lo, lo + 12.0 / LAM20.a,
+                                     [lo + 1.0 / LAM20.a], epsrel=1e-12)
+            assert f_H(h, LAM20) == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
+    def test_matches_adaptive_routes_on_bulk_grid(self):
+        assert _joint(0.01, 0.02, LAM20.a) == pytest.approx(
+            joint_gap_pdf(0.01, 0.02, LAM20.p, LAM20.rho), rel=1e-14)
+        for h in _fh_grid(LAM20)[::6]:
+            assert f_H(h, LAM20) == pytest.approx(_adaptive_f(h, LAM20), rel=1e-10, abs=1e-8)
+            assert F_H(h, LAM20) == pytest.approx(_adaptive_F(h, LAM20), rel=1e-10, abs=1e-8)
+
+    def test_array_equals_scalar(self):
+        hms = h_min_scale(LAM20)
+        grid = np.concatenate([_fh_grid(LAM20), np.geomspace(100.0 * hms, 1e4 * hms, 25)])
+        for func in (f_H, F_H):
+            scalars = [func(h, LAM20) for h in grid]
+            assert all(type(v) is float for v in scalars)
+            np.testing.assert_array_equal(func(grid, LAM20), scalars)
+            np.testing.assert_array_equal(func(grid.reshape(5, 17), LAM20),
+                                          np.reshape(scalars, (5, 17)))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_array_with_nonpositive_raises(self, bad):
+        for func in (f_H, F_H):
+            with pytest.raises(ValueError, match="positive"):
+                func(np.array([1.0, bad, 2.0]), UNIT)
+
+    def test_checked_quad_gate_is_relative(self):
+        # An unresolved Lorentzian of half-width 1e-10: the true integral is
+        # ~pi * 1e-10, and quad's error estimate, though far below an
+        # absolute 1e-8 floor, exceeds 1e-6 of its value.
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _checked_quad(lambda x: 1e-20 / ((x - 0.3) ** 2 + 1e-20), 0.0, 1.0)
 
 
 class TestSampler:
