@@ -55,6 +55,7 @@ from .spectral import (
 from .wishart import (
     SampleCovariance,
     child_seed,
+    eigenvalue_root,
     sample_wishart_scaled,
     sqrt_psd,
 )

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import eig_sym
-from .wishart import child_seed, sample_wishart_scaled, sqrt_psd
+from .wishart import child_seed, eigenvalue_root, sample_wishart_scaled
+
+# Unused here, but perfbench/spans.py wraps this binding by name.
+from .wishart import sqrt_psd  # noqa: F401
 
 __all__ = [
     "BootstrapConfig",
@@ -132,45 +135,48 @@ def aligned_residual(u, u_tilde):
     return float(np.clip(2.0 * (1.0 - abs(float(u @ ut))), 0.0, 2.0))
 
 
-def replicate_residuals(c, c_root, n, seed):
-    """One scaled Wishart replicate around ``c``: residuals and crossing flags.
+def replicate_residuals(root, n, seed):
+    """One scaled Wishart replicate in C's eigenbasis: residuals and crossing flags.
 
-    Draws C_tilde ~ W(C, n)/n from ``c_root`` = C^(1/2) with ``seed``, pairs
-    its eigenvectors with ``c``'s in sorted-index order, and returns the
-    residuals clip(2(1 - |<u_i, u_tilde_i>|), 0, 2) together with a per-index
-    flag for a probable eigenvalue crossing.
+    ``root`` is D^(1/2) = ``eigenvalue_root`` of C's ascending eigenvalues.
+    W(I, n) is orthogonally invariant (Anderson 1963, Ann. Math. Statist.
+    34:122), so with C = U D U^T the draw C_tilde = U S U^T, where
+    S = D^(1/2) (A A^T / n) D^(1/2) comes from ``seed``. If S = V L V^T, the
+    sample eigenvectors are u_tilde_i = U v_i, and u_j^T u_tilde_i = V_ji.
+    Pairing sample and population vectors in sorted-index order, the residual
+    is clip(2(1 - |V_ii|), 0, 2), and index i is flagged as a probable
+    eigenvalue crossing when an adjacent sample vector matches u_i better
+    than u_tilde_i does: |V_i,i-1| or |V_i,i+1| above |V_ii|. U is never
+    needed.
     """
-    draw = sample_wishart_scaled(c_root, n, seed)
-    _, v_tilde = eig_sym(draw.matrix)
-    u = c.eigenvectors
-    dots = np.abs(np.einsum("ij,ij->j", u, v_tilde))
+    draw = sample_wishart_scaled(root, n, seed)
+    _, v = eig_sym(draw.matrix)
+    dots = np.abs(np.diagonal(v))
     residuals = np.clip(2.0 * (1.0 - dots), 0.0, 2.0)
-    # Adjacent-column overlap check: flags indices where the sample vector
-    # one slot over matches better, i.e. a probable eigenvalue crossing.
-    crossing = np.zeros(u.shape[1], dtype=bool)
-    up = np.abs(np.einsum("ij,ij->j", u[:, :-1], v_tilde[:, 1:]))
-    down = np.abs(np.einsum("ij,ij->j", u[:, 1:], v_tilde[:, :-1]))
-    crossing[:-1] |= up > dots[:-1]
-    crossing[1:] |= down > dots[1:]
+    # np.diagonal(v, 1)[i] = V_i,i+1 and np.diagonal(v, -1)[i] = V_i+1,i.
+    crossing = np.zeros(dots.size, dtype=bool)
+    crossing[:-1] |= np.abs(np.diagonal(v, 1)) > dots[:-1]
+    crossing[1:] |= np.abs(np.diagonal(v, -1)) > dots[1:]
     return residuals, crossing
 
 
 def bootstrap_error(c, cfg):
     """Monte-Carlo estimate of n * E||u_i - u_tilde_i||^2 per index.
 
-    Draws R scaled Wishart replicates around ``c`` (child seeds keyed by
-    replicate, so each replicate is reproducible in isolation), pairs sample
-    eigenvectors with population ones in sorted-index order, and accumulates
-    sign-aligned residuals in replicate order.
+    Draws R scaled Wishart replicates around ``c`` in its eigenbasis (child
+    seeds keyed by replicate, so each replicate is reproducible in
+    isolation), pairs sample eigenvectors with population ones in
+    sorted-index order, and accumulates sign-aligned residuals in replicate
+    order; see ``replicate_residuals``. Only ``c.eigenvalues`` is read.
     """
     p = c.matrix.shape[0]
     if cfg.n < p:
         raise ValueError(f"need n >= p, got n={cfg.n}, p={p}")
-    c_root = sqrt_psd(c)
+    root = eigenvalue_root(c.eigenvalues)
     scaled = np.empty((cfg.R, p))
     crossings = np.zeros(p, dtype=np.int64)
     for r in range(cfg.R):
-        residuals, crossing = replicate_residuals(c, c_root, cfg.n, child_seed(cfg.seed, r))
+        residuals, crossing = replicate_residuals(root, cfg.n, child_seed(cfg.seed, r))
         scaled[r] = cfg.n * residuals
         crossings += crossing
     n_mean = scaled.mean(axis=0)

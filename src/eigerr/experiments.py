@@ -36,11 +36,11 @@ from .spectral import (
     wigner_surmise_cdf,
     wigner_surmise_pdf,
 )
-from .wishart import child_seed, sqrt_psd
+from .wishart import child_seed, eigenvalue_root
 
-# Unused here, but perfbench/spans.py wraps these two bindings by name.
+# Unused here, but perfbench/spans.py wraps these three bindings by name.
 from .spectral import eig_sym  # noqa: F401
-from .wishart import sample_wishart_scaled  # noqa: F401
+from .wishart import sample_wishart_scaled, sqrt_psd  # noqa: F401
 
 __all__ = ["ExperimentConfig", "ConfigError", "EXPERIMENTS", "run", "validate"]
 
@@ -408,11 +408,11 @@ def _run_bound_scatter(config, out):
     mat = mats[0]
     ev = mat.eigenvalues
     hx = h_exact_all(ev)
-    c_root = sqrt_psd(mat)
+    root = eigenvalue_root(ev)
     rows = []
     for ni, n in enumerate(config.n):
         for r in range(config.R):
-            res, _ = replicate_residuals(mat, c_root, n, child_seed(config.seed, 2, ni, r))
+            res, _ = replicate_residuals(root, n, child_seed(config.seed, 2, ni, r))
             for i in range(ev.size):
                 residual = float(res[i])
                 rows.append((n, r, i + 1, float(ev[i]), float(hx[i]), residual,

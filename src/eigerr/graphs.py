@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +41,21 @@ class RegularGraph:
 
 @dataclass(frozen=True)
 class PopulationMatrix:
-    """Symmetric PSD matrix with its full sorted eigendecomposition attached."""
+    """Symmetric PSD matrix with its sorted eigenvalues attached.
+
+    Every predictor needs only the eigenvalues, and the bootstrap samples in
+    the matrix's eigenbasis, so no eigenvectors are computed up front.
+    ``eigenvectors`` solves for them on first access (a second, full solve)
+    and caches them; it serves tests as a reference.
+    """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+
+    @cached_property
+    def eigenvectors(self):
+        """Orthonormal eigenvector columns, in the order of ``eigenvalues``."""
+        return eig_sym(self.matrix)[1]
 
 
 def _suitable(edges, potential):
@@ -131,17 +142,16 @@ def incidence_matrix(g):
 
 
 def laplacian(g):
-    """Unnormalized Laplacian C = D - A with eigendecomposition attached."""
+    """Unnormalized Laplacian C = D - A with its eigenvalues attached."""
     a = adjacency_matrix(g)
     c = np.diag(a.sum(axis=1)) - a
     return population_matrix(c)
 
 
 def population_matrix(matrix):
-    """Wrap a symmetric matrix with its sorted eigendecomposition."""
-    w, v = eig_sym(matrix)
+    """Wrap a symmetric matrix with its sorted eigenvalues."""
     return PopulationMatrix(matrix=np.asarray(matrix, dtype=float),
-                            eigenvalues=w, eigenvectors=v)
+                            eigenvalues=eig_sym(matrix, eigvals_only=True))
 
 
 def is_connected(g):

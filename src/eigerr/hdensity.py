@@ -90,6 +90,11 @@ def s0(h, params):
     return _root(h, params)
 
 
+def _gauss_rate(params):
+    # b of J's Gaussian factor e^(-b (s-^2 + s+^2 + s- s+)), b = (3a)^2 / (4 pi).
+    return 9.0 * params.a * params.a / (4.0 * math.pi)
+
+
 def _residual(h, s_plus, params):
     a_c, b_c = _coefs(params)
     return h - a_c / (s_plus * s_plus) - b_c / s_plus
@@ -135,6 +140,9 @@ _RULE_RTOL = 1e-6
 # Half-arc panels in units of the mean gap 1/a, measured from the symmetric
 # point s_eq; the Gaussian factor of J is below 1e-40 past 12 mean gaps.
 _ARC_EDGES = np.array([0.0, 0.1, 1.0, 12.0])
+# exp(-x) rounds to 0.0 in double precision for every x above this
+# (2^-1075 = e^-745.13 is half the smallest subnormal).
+_EXP_UNDERFLOW = 746.0
 # f_H_mass panels in log(h / h_typ), h_typ = 4 (lam a)^2; f_H depends on h only
 # through h / (lam a)^2, so one set of edges serves every (lam, a).
 _MASS_EDGES = np.log([1e-3, 1e-1, 1.0, 10.0, 2e4])
@@ -168,9 +176,19 @@ def _half_arc_rule(h, params, integrand):
         raise ValueError("h must be positive")
     h_col = h.reshape(-1, 1)
     s_eq = _root(h_col / 2.0, params)
-    values = _fixed_rule(
-        lambda s_plus: integrand(_root(_residual(h_col, s_plus, params), params), s_eq, s_plus),
-        s_eq + _ARC_EDGES / params.a)
+    # On the half arc s+ >= s_eq, so J's Gaussian factor e^(-b (s-^2 + s+^2 +
+    # s- s+)) is below e^(-b s_eq^2). Where that is 0.0, so is every term of
+    # the sum, and the value is exactly 0; summing anyway gives inf * 0 once
+    # s^3 or x^2 overflow (h below ~1e-100 h_typ). The test b s_eq^2 <= 746
+    # is taken on s_eq, as s_eq^2 itself overflows below ~1e-150 h_typ.
+    live = (s_eq <= math.sqrt(_EXP_UNDERFLOW / _gauss_rate(params))).ravel()
+    values = np.zeros(h_col.shape[0])
+    if live.any():
+        h_live, s_live = h_col[live], s_eq[live]
+        values[live] = _fixed_rule(
+            lambda s_plus: integrand(
+                _root(_residual(h_live, s_plus, params), params), s_live, s_plus),
+            s_live + _ARC_EDGES / params.a)
     return float(values[0]) if h.ndim == 0 else values.reshape(h.shape)
 
 
@@ -197,7 +215,7 @@ def _upper_mass(lo, x, params):
     # erfc is written as erfcx times its Gaussian, which joins J's.
     a = params.a
     c = 2187.0 * a ** 5 / (32.0 * math.pi ** 3)  # 3^7 = 2187
-    b = 9.0 * a * a / (4.0 * math.pi)
+    b = _gauss_rate(params)
     t0 = lo + 0.5 * x
     tail = t0 / (2.0 * b) + (0.5 / b - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / b) \
         * erfcx(math.sqrt(b) * t0)

@@ -28,13 +28,15 @@ __all__ = [
 SYMMETRY_RTOL = 1e-10
 
 
-def eig_sym(m):
+def eig_sym(m, eigvals_only=False):
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as orthonormal columns. The input must be symmetric to
-    within 1e-10 relative to its largest entry; it is symmetrized before
-    the solve so the decomposition is exactly that of (m + m.T)/2.
+    eigenvectors as orthonormal columns, or the eigenvalues alone with
+    ``eigvals_only=True`` (a cheaper solve that forms no vectors).
+    The input must be symmetric to within 1e-10 relative to its largest
+    entry; it is symmetrized before the solve so the decomposition is
+    exactly that of (m + m.T)/2.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -42,7 +44,10 @@ def eig_sym(m):
     scale = np.abs(m).max()
     if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    sym = (m + m.T) / 2.0
+    if eigvals_only:
+        return np.linalg.eigvalsh(sym)
+    w, v = np.linalg.eigh(sym)
     return w, v
 
 

@@ -12,6 +12,7 @@ from eigerr import (
     h_hat,
     population_matrix,
     regime_violation,
+    replicate_residuals,
     sample_size_bound,
 )
 
@@ -182,6 +183,105 @@ class TestBootstrap:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             BootstrapConfig(R=0, n=10)
+
+
+def _rotated(ev, seed):
+    # C = Q diag(ev) Q^T with a Haar-random orthogonal Q, so U != I.
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(ev), len(ev))))
+    q = q * np.sign(np.diag(r))
+    m = (q * ev) @ q.T
+    return population_matrix((m + m.T) / 2.0)
+
+
+class TestEigenbasisBootstrap:
+    """Non-diagonal populations, where the eigenbasis and original-basis
+    routes differ (for diagonal C they coincide)."""
+
+    EV = np.array([1.0, 1.15, 1.3, 2.0, 2.2, 3.0, 3.1])
+
+    def test_replicate_matches_original_basis(self):
+        from eigerr.spectral import eig_sym
+        from eigerr.wishart import child_seed, eigenvalue_root, sample_wishart_scaled
+
+        c = _rotated(self.EV, seed=7)
+        u = c.eigenvectors
+        root = eigenvalue_root(c.eigenvalues)
+        crossed = 0
+        for r in range(40):
+            seed = child_seed(12, r)
+            res, crossing = replicate_residuals(root, 30, seed)
+            # The identity u_i^T (U v_i) = V_ii ...
+            _, v = eig_sym(sample_wishart_scaled(root, 30, seed).matrix)
+            np.testing.assert_allclose(
+                res, [aligned_residual(u[:, i], u @ v[:, i]) for i in range(7)],
+                rtol=0.0, atol=1e-10)
+            # ... and the same draw A rotated into the original basis:
+            # (U D^(1/2)) A A^T (U D^(1/2))^T / n, solved there.
+            _, v_full = eig_sym(sample_wishart_scaled(u * root, 30, seed).matrix)
+            np.testing.assert_allclose(
+                res, [aligned_residual(u[:, i], v_full[:, i]) for i in range(7)],
+                rtol=0.0, atol=1e-10)
+            dots = np.abs(np.einsum("ij,ij->j", u, v_full))
+            up = np.abs(np.einsum("ij,ij->j", u[:, :-1], v_full[:, 1:]))
+            down = np.abs(np.einsum("ij,ij->j", u[:, 1:], v_full[:, :-1]))
+            expected = np.zeros(7, dtype=bool)
+            expected[:-1] |= up > dots[:-1]
+            expected[1:] |= down > dots[1:]
+            np.testing.assert_array_equal(crossing, expected)
+            crossed += int(crossing.sum())
+        assert crossed > 0  # the close pairs do cross at n = 30
+
+    def test_nondiagonal_matches_h_exact(self):
+        ev = np.array([1.0, 2.0, 3.5, 5.5, 8.0, 11.0])
+        c = _rotated(ev, seed=3)
+        cfg = BootstrapConfig(R=50, n=10 ** 6, seed=31)
+        res = bootstrap_error(c, cfg)
+        hx = h_exact_all(ev)
+        se = res.n_std / np.sqrt(cfg.R)
+        assert (np.abs(res.n_mean - hx) <= 3.0 * se).all()
+
+
+class TestEigenvaluesOnly:
+    """Population matrices carry eigenvalues only; nothing on the laplacian,
+    bootstrap or bound-scatter paths computes eigenvectors."""
+
+    @staticmethod
+    def _check(c):
+        from eigerr.spectral import eig_sym
+
+        assert "eigenvectors" not in vars(c)
+        w = eig_sym(c.matrix)[0]
+        assert np.abs(c.eigenvalues - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_laplacian_and_bootstrap(self):
+        from eigerr import laplacian, sample_regular_graph
+
+        c = laplacian(sample_regular_graph(60, 6, seed=4))
+        self._check(c)
+        bootstrap_error(c, BootstrapConfig(R=2, n=1000, seed=1))
+        self._check(c)
+
+    def test_bound_scatter(self, tmp_path, monkeypatch):
+        from eigerr import experiments
+
+        built = []
+        original = experiments.laplacian
+
+        def recording(g):
+            built.append(original(g))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "laplacian", recording)
+        experiments.run("bound-scatter", experiments.ExperimentConfig(
+            p=60, k=4, M=1, R=2, n=(100, 1000), seed=5, out=tmp_path))
+        assert len(built) == 1
+        self._check(built[0])
+
+    def test_eigenvectors_on_demand(self):
+        c = _rotated(np.array([1.0, 2.0, 4.0, 8.0]), seed=1)
+        v = c.eigenvectors
+        assert vars(c)["eigenvectors"] is v  # computed once, then cached
+        assert np.abs(c.matrix @ v - v * c.eigenvalues).max() <= 1e-12 * 8.0
 
 
 class TestConvergenceTrend:

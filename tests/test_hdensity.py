@@ -269,6 +269,37 @@ class TestFixedRule:
             with pytest.raises(ValueError, match="positive"):
                 func(np.array([1.0, bad, 2.0]), UNIT)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [UNIT, LAM20], ids=["unit", "lam20"])
+    def test_far_below_support_is_exactly_zero(self, params):
+        # At h <= 1e-100 h_typ, s^3 (f_H) and x^2 (F_H) overflow on the arc
+        # while J's Gaussian factor is 0.0; both used to fail their checks.
+        h_typ = 4.0 * (params.lam * params.a) ** 2
+        for scale in (1e-2, 1e-10, 1e-110, 1e-160, 1e-300):
+            assert f_H(scale * h_typ, params) == 0.0
+            assert F_H(scale * h_typ, params) == 0.0
+        mixed = np.array([[1e-300, 1e-160], [0.3, 1e-110], [1.0, 30.0]]) * h_typ
+        for func in (f_H, F_H):
+            values = func(mixed, params)
+            np.testing.assert_array_equal(values, [[func(h, params) for h in row]
+                                                   for row in mixed])
+            assert (values[[0, 0, 1], [0, 1, 1]] == 0.0).all()
+            assert (values[2] > 0.0).all()
+            with pytest.raises(ValueError, match="positive"):
+                func(np.array([1e-160 * h_typ, 0.0]), params)
+
+    def test_values_next_to_the_cut_are_already_zero(self):
+        # Just above the cut the sums are already exactly 0.0, so the cut
+        # changes no value: b s_eq^2 = 746 sits past exp's underflow.
+        from eigerr.hdensity import _EXP_UNDERFLOW, _gauss_rate
+
+        s_cut = math.sqrt(_EXP_UNDERFLOW / _gauss_rate(LAM20))
+        a_c, b_c = LAM20.lam ** 2, LAM20.lam ** 2 * LAM20.a
+        h_cut = 2.0 * (a_c / s_cut ** 2 + b_c / s_cut)  # s0(h_cut / 2) = s_cut
+        assert math.exp(-_EXP_UNDERFLOW) == 0.0
+        for h in h_cut * np.array([1.0 + 1e-9, 1.01, 1.1]):
+            assert f_H(h, LAM20) == 0.0 and F_H(h, LAM20) == 0.0
+
     def test_checked_quad_gate_is_relative(self):
         # An unresolved Lorentzian of half-width 1e-10: the true integral is
         # ~pi * 1e-10, and quad's error estimate, though far below an

@@ -47,6 +47,16 @@ class TestEigSym:
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             eig_sym(m)
+        with pytest.raises(ValueError, match="symmetric"):
+            eig_sym(m, eigvals_only=True)
+
+    def test_eigvals_only(self, rng):
+        m = rng.standard_normal((50, 50))
+        m = m + m.T
+        w = eig_sym(m, eigvals_only=True)
+        assert isinstance(w, np.ndarray) and w.shape == (50,)
+        full = eig_sym(m)[0]
+        assert np.abs(w - full).max() <= 1e-12 * np.abs(full).max()
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigerr import laplacian, sample_regular_graph, sqrt_psd
-from eigerr.wishart import child_seed, sample_wishart_scaled
+from eigerr.wishart import child_seed, eigenvalue_root, sample_wishart_scaled
 
 
 class TestSqrtPsd:
@@ -29,6 +29,30 @@ class TestSqrtPsd:
     def test_not_psd_rejected(self):
         with pytest.raises(ValueError, match="semi-definite"):
             sqrt_psd(np.diag([1.0, -0.5]))
+
+
+class TestEigenvalueRoot:
+    def test_values_and_clamp(self):
+        np.testing.assert_array_equal(eigenvalue_root([-1e-12, 0.0, 4.0, 9.0]),
+                                      [0.0, 0.0, 2.0, 3.0])
+
+    def test_not_psd_rejected(self):
+        with pytest.raises(ValueError, match="semi-definite"):
+            eigenvalue_root([-0.5, 1.0])
+
+    def test_diagonal_root_is_a_row_scaling(self):
+        # A 1-D root draws D^(1/2) (A A^T / n) D^(1/2) from the same A as the
+        # matrix np.diag(root).
+        root = eigenvalue_root([0.0, 1.0, 2.0, 5.0])
+        for r in range(5):
+            seed = child_seed(17, r)
+            np.testing.assert_allclose(sample_wishart_scaled(root, 40, seed).matrix,
+                                       sample_wishart_scaled(np.diag(root), 40, seed).matrix,
+                                       rtol=1e-14, atol=0.0)
+
+    def test_bad_root_shape_rejected(self):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            sample_wishart_scaled(np.ones((2, 2, 2)), 10, seed=0)
 
 
 class TestBartlettSampling:
