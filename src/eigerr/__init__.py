@@ -42,7 +42,7 @@ from .hdensity import (
     tail_report,
 )
 from .spectral import (
-    GapRecord,
+    GapRecords,
     SpectralDensity,
     eig_sym,
     estimate_density,
@@ -53,7 +53,6 @@ from .spectral import (
     wigner_surmise_pdf,
 )
 from .wishart import (
-    SampleCovariance,
     child_seed,
     eigenvalue_root,
     sample_wishart_scaled,

@@ -149,8 +149,7 @@ def replicate_residuals(root, n, seed):
     than u_tilde_i does: |V_i,i-1| or |V_i,i+1| above |V_ii|. U is never
     needed.
     """
-    draw = sample_wishart_scaled(root, n, seed)
-    _, v = eig_sym(draw.matrix)
+    _, v = eig_sym(sample_wishart_scaled(root, n, seed))
     dots = np.abs(np.diagonal(v))
     residuals = np.clip(2.0 * (1.0 - dots), 0.0, 2.0)
     # np.diagonal(v, 1)[i] = V_i,i+1 and np.diagonal(v, -1)[i] = V_i+1,i.
@@ -193,6 +192,11 @@ def sample_size_bound(h):
 
 
 def regime_violation(n, h):
-    """True when n is below the h/2 validity bound."""
-    return n < sample_size_bound(h)
+    """True where the sample count n is below the h/2 validity bound.
+
+    ``h`` is a scalar (returns a bool) or an array (returns a bool array).
+    As n is positive, h <= 0 (or NaN) reads False.
+    """
+    out = n < np.asarray(h, dtype=float) / 2.0
+    return bool(out) if out.ndim == 0 else out
 

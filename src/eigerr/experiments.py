@@ -14,6 +14,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .estimators import (
 from .graphs import is_connected, laplacian, sample_regular_graph
 from .hdensity import F_H, HDensityParams, f_H, tail_report
 from .spectral import (
+    GapRecords,
     SpectralDensity,
     estimate_density,
     extract_gap_records,
@@ -118,20 +120,18 @@ def _sample_ensemble(config, count=None):
     return mats, connected
 
 
-def _bulk_pools(mats):
+def _ensemble_density(mats):
     # Laplacian spectra minus the zero (Perron) eigenvalue each matrix carries.
-    return [m.eigenvalues[1:] for m in mats]
+    return estimate_density([m.eigenvalues[1:] for m in mats])
 
 
-def _ensemble_density(mats, bin_width=None):
-    return estimate_density(_bulk_pools(mats), bin_width=bin_width)
+def _concat(records):
+    # One GapRecords holding each matrix's records in turn.
+    return GapRecords(*map(np.concatenate, zip(*records)))
 
 
 def _pool_gap_records(mats, lambda0, delta):
-    pooled = []
-    for m in mats:
-        pooled.extend(extract_gap_records(m.eigenvalues, lambda0, delta))
-    return pooled
+    return _concat([extract_gap_records(m.eigenvalues, lambda0, delta) for m in mats])
 
 
 ESTIMATE_COLUMNS = ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
@@ -158,9 +158,11 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
+    # A non-finite number is not JSON: it raises here, before the file is
+    # opened (exit 2). A statistic without data is None, written as null.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _run_density(config, out):
@@ -181,12 +183,11 @@ def _run_density(config, out):
 def _run_spacing(config, out):
     mats, _ = _sample_ensemble(config)
     records = _pool_gap_records(mats, config.lambda0, config.delta)
-    if not records:
+    if not records.index.size:
         raise RuntimeError("no eigenvalues found in the spacing window")
-    _write_csv(out / "gaps.csv", ["index", "lambda", "s_minus", "s_plus"],
-               ((r.index, r.lam, r.s_minus, r.s_plus) for r in records))
+    _write_csv(out / "gaps.csv", ["index", "lambda", "s_minus", "s_plus"], zip(*records))
     rho = SpectralDensity.mckay(config.k)(config.lambda0)
-    normalized = np.array([config.p * r.s_plus for r in records])
+    normalized = config.p * records.s_plus
     # KS against the surmise for t = p*s with scale rho(lambda0).
     t_sorted = np.sort(normalized)
     cdf = wigner_surmise_cdf(t_sorted, 1.0, rho)
@@ -201,7 +202,7 @@ def _run_spacing(config, out):
                    np.asarray(wigner_surmise_pdf(centers, 1.0, rho)).tolist()))
     _write_json(out / "stats.json", {
         "ks_statistic": ks,
-        "gap_count": len(records),
+        "gap_count": records.index.size,
         "rho_mckay": rho,
     })
     return ["gaps.csv", "spacing.csv", "stats.json"]
@@ -210,28 +211,24 @@ def _run_spacing(config, out):
 def _run_joint_gaps(config, out):
     mats, _ = _sample_ensemble(config)
     records = _pool_gap_records(mats, config.lambda0, config.delta)
-    if not records:
+    count = records.index.size
+    if not count:
         raise RuntimeError("no eigenvalues found in the gap window")
     rho = SpectralDensity.mckay(config.k)(config.lambda0)
     a = config.p * rho
-    sm = np.array([r.s_minus for r in records])
-    sp = np.array([r.s_plus for r in records])
     hi = 3.5 / a
     nb = 10
     edges = np.linspace(0.0, hi, nb + 1)
-    counts, _, _ = np.histogram2d(sm, sp, bins=[edges, edges])
-    p_emp = counts / len(records)
+    counts, _, _ = np.histogram2d(records.s_minus, records.s_plus, bins=[edges, edges])
+    p_emp = counts / count
     centers = 0.5 * (edges[:-1] + edges[1:])
     p_mod = _joint_cell_masses(edges, config.p, rho)
     l1 = float(np.abs(p_emp - p_mod).sum() + abs(p_emp.sum() - p_mod.sum()))
-    rows = []
-    for i, ci in enumerate(centers):
-        for j, cj in enumerate(centers):
-            rows.append((ci, cj, float(p_emp[i, j]), float(p_mod[i, j])))
+    c_minus, c_plus = np.meshgrid(centers, centers, indexing="ij")
     _write_csv(out / "joint_gaps.csv",
                ["s_minus_center", "s_plus_center", "cell_prob_empirical", "cell_prob_surmise"],
-               rows)
-    _write_json(out / "stats.json", {"l1_distance": l1, "gap_count": len(records)})
+               zip(c_minus.ravel(), c_plus.ravel(), p_emp.ravel(), p_mod.ravel()))
+    _write_json(out / "stats.json", {"l1_distance": l1, "gap_count": count})
     return ["joint_gaps.csv", "stats.json"]
 
 
@@ -252,39 +249,37 @@ def _joint_cell_masses(edges, p, rho, refine=6):
     return out
 
 
-def _bulk_estimate_rows(mat, density, config, n):
+def _bulk_estimate_columns(mat, density, n):
+    # ESTIMATE_COLUMNS for every interior index (two-sided gaps); the
+    # bootstrap columns are left empty.
     ev = mat.eigenvalues
-    p = ev.size
-    hx = h_exact_all(ev)
-    rows = []
-    for i in range(1, p - 1):  # interior indices only (two-sided gaps)
-        lam = ev[i]
-        sm, sp = ev[i] - ev[i - 1], ev[i + 1] - ev[i]
-        rho_i = float(density(lam))
-        hh = h_hat(lam, sm, sp, p, rho_i, include_correction=True)
-        hh0 = h_hat(lam, sm, sp, p, rho_i, include_correction=False)
-        rows.append({
-            "index": i + 1,
-            "lambda": float(lam),
-            "h_exact": float(hx[i]),
-            "h_hat": float(hh),
-            "h_hat_uncorrected": float(hh0),
-            "n_mean_error": None,
-            "n_std_error": None,
-            "regime_violation": bool(regime_violation(n, hx[i])) if hx[i] > 0 else False,
-        })
-    return rows
+    gaps = extract_gap_records(ev, 0.0, np.inf)
+    hx = h_exact_all(ev)[gaps.index - 1]
+    rho = density(gaps.lam)
+    empty = [None] * gaps.index.size
+    return {
+        "index": gaps.index,
+        "lambda": gaps.lam,
+        "h_exact": hx,
+        "h_hat": h_hat(gaps.lam, gaps.s_minus, gaps.s_plus, ev.size, rho),
+        "h_hat_uncorrected": h_hat(gaps.lam, gaps.s_minus, gaps.s_plus, ev.size, rho,
+                                   include_correction=False),
+        "n_mean_error": empty,
+        "n_std_error": empty,
+        "regime_violation": regime_violation(n, hx),
+    }
+
+
+def _write_estimates(path, columns):
+    _write_csv(path, ESTIMATE_COLUMNS, zip(*(columns[c] for c in ESTIMATE_COLUMNS)))
 
 
 def _run_hhat_vs_h(config, out):
     mats, _ = _sample_ensemble(config)
     density = _ensemble_density(mats)
-    rows = _bulk_estimate_rows(mats[0], density, config, config.n[0])
-    _write_csv(out / "estimates.csv", ESTIMATE_COLUMNS,
-               ([row[c] for c in ESTIMATE_COLUMNS] for row in rows))
-    hx = np.array([r["h_exact"] for r in rows])
-    hh = np.array([r["h_hat"] for r in rows])
-    hh0 = np.array([r["h_hat_uncorrected"] for r in rows])
+    cols = _bulk_estimate_columns(mats[0], density, config.n[0])
+    _write_estimates(out / "estimates.csv", cols)
+    hx, hh, hh0 = cols["h_exact"], cols["h_hat"], cols["h_hat_uncorrected"]
     log_corr = float(np.corrcoef(np.log(hx), np.log(hh))[0, 1])
     lower = hx <= np.median(hx)
     _write_json(out / "stats.json", {
@@ -303,20 +298,14 @@ def _run_bootstrap_vs_hhat(config, out):
     n = config.n[0]
     result = bootstrap_error(mat, BootstrapConfig(R=config.R, n=n, seed=int(
         child_seed(config.seed, 1, 0).generate_state(1)[0])))
-    rows = _bulk_estimate_rows(mat, density, config, n)
-    for row in rows:
-        i = row["index"] - 1
-        row["n_mean_error"] = float(result.n_mean[i])
-        row["n_std_error"] = float(result.n_std[i])
-    _write_csv(out / "estimates.csv", ESTIMATE_COLUMNS,
-               ([row[c] for c in ESTIMATE_COLUMNS] for row in rows))
-    hh = np.array([r["h_hat"] for r in rows])
-    hx = np.array([r["h_exact"] for r in rows])
-    nm = np.array([r["n_mean_error"] for r in rows])
-    ok = hx <= 2.0 * n
-    rel = np.abs(nm[ok] / hh[ok] - 1.0)
+    cols = _bulk_estimate_columns(mat, density, n)
+    i = cols["index"] - 1
+    cols["n_mean_error"], cols["n_std_error"] = result.n_mean[i], result.n_std[i]
+    _write_estimates(out / "estimates.csv", cols)
+    ok = ~cols["regime_violation"]
+    rel = np.abs(cols["n_mean_error"][ok] / cols["h_hat"][ok] - 1.0)
     _write_json(out / "stats.json", {
-        "median_rel_deviation": float(np.median(rel)),
+        "median_rel_deviation": float(np.median(rel)) if rel.size else None,
         "indices_in_regime": int(ok.sum()),
         "crossing_indices": int((result.crossing_count > 0).sum()),
     })
@@ -340,18 +329,19 @@ def _run_fh_density(config, out):
 
     records = [extract_gap_records(mat.eigenvalues, config.lambda0, config.delta)
                for mat in mats]
-    h_rows = []
-    for m, (mat, recs) in enumerate(zip(mats, records)):
-        hx = h_exact_all(mat.eigenvalues)
-        for rec in recs:
-            i = rec.index - 1
-            rho_i = float(density(rec.lam))
-            h_rows.append((m, rec.index, rec.lam, float(hx[i]),
-                           float(h_hat(rec.lam, rec.s_minus, rec.s_plus, config.p, rho_i))))
-    if not h_rows:
+    pooled = _concat(records)
+    if not pooled.index.size:
         raise RuntimeError("no eigenvalues found in the window")
-    _write_csv(out / "h_empirical.csv",
-               ["matrix", "index", "lambda", "h_exact", "h_hat"], h_rows)
+    matrix = np.repeat(np.arange(len(mats)), [r.index.size for r in records])
+
+    def at_window(per_matrix):
+        # Each matrix's per-index values at its own window indices, pooled.
+        return np.concatenate([v[r.index - 1] for v, r in zip(per_matrix, records)])
+
+    h_emp = at_window(h_exact_all(mat.eigenvalues) for mat in mats)
+    hh = h_hat(pooled.lam, pooled.s_minus, pooled.s_plus, config.p, density(pooled.lam))
+    _write_csv(out / "h_empirical.csv", ["matrix", "index", "lambda", "h_exact", "h_hat"],
+               zip(matrix, pooled.index, pooled.lam, h_emp, hh))
 
     n = config.n[0]
 
@@ -361,26 +351,20 @@ def _run_fh_density(config, out):
         return bootstrap_error(mats[m], cfg)
 
     boots = _map_indexed(boot, len(mats), config.threads)
-    b_rows = []
-    for m, recs in enumerate(records):
-        for rec in recs:
-            i = rec.index - 1
-            b_rows.append((m, rec.index, rec.lam,
-                           float(boots[m].n_mean[i]), float(boots[m].n_std[i])))
-    _write_csv(out / "bootstrap.csv",
-               ["matrix", "index", "lambda", "n_mean_error", "n_std_error"], b_rows)
+    _write_csv(out / "bootstrap.csv", ["matrix", "index", "lambda", "n_mean_error", "n_std_error"],
+               zip(matrix, pooled.index, pooled.lam,
+                   at_window(b.n_mean for b in boots), at_window(b.n_std for b in boots)))
 
     grid = _fh_grid(params)
     fh = f_H(grid, params)
     cdf = F_H(grid, params)
     _write_csv(out / "fh.csv", HDENSITY_COLUMNS, zip(grid, fh, cdf))
 
-    h_emp = np.array([r[3] for r in h_rows])
     _write_json(out / "stats.json", {
         "rho_at_lambda0": rho0,
-        "window_count": len(h_rows),
+        "window_count": h_emp.size,
         "median_h_empirical": float(np.median(h_emp)),
-        "regime_violation_fraction": float(np.mean(h_emp > 2.0 * n)),
+        "regime_violation_fraction": float(np.mean(regime_violation(n, h_emp))),
     })
     return ["h_empirical.csv", "bootstrap.csv", "fh.csv", "stats.json"]
 
@@ -408,18 +392,17 @@ def _run_bound_scatter(config, out):
     mat = mats[0]
     ev = mat.eigenvalues
     hx = h_exact_all(ev)
+    index = np.arange(1, ev.size + 1)
     root = eigenvalue_root(ev)
-    rows = []
+    blocks = []  # the columns of each (n, replicate) pair, in file order
     for ni, n in enumerate(config.n):
+        violation = regime_violation(n, hx)
         for r in range(config.R):
             res, _ = replicate_residuals(root, n, child_seed(config.seed, 2, ni, r))
-            for i in range(ev.size):
-                residual = float(res[i])
-                rows.append((n, r, i + 1, float(ev[i]), float(hx[i]), residual,
-                             n * residual, bool(hx[i] > 0 and regime_violation(n, hx[i]))))
+            blocks.append(zip(repeat(n), repeat(r), index, ev, hx, res, n * res, violation))
     _write_csv(out / "bound_scatter.csv",
                ["n", "replicate", "index", "lambda", "h_exact",
-                "residual", "n_residual", "regime_violation"], rows)
+                "residual", "n_residual", "regime_violation"], chain.from_iterable(blocks))
     return ["bound_scatter.csv"]
 
 
@@ -487,10 +470,10 @@ def validate(config):
 
     records = _pool_gap_records(mats, config.lambda0, config.delta)
     pilot_h = None
-    if records:
+    if records.index.size:
         rho0 = float(density(config.lambda0))
         if rho0 > 0:
-            hh = [h_hat(r.lam, r.s_minus, r.s_plus, config.p, rho0) for r in records]
+            hh = h_hat(records.lam, records.s_minus, records.s_plus, config.p, rho0)
             pilot_h = float(np.median(hh))
             for n in config.n:
                 if regime_violation(n, pilot_h):
@@ -504,7 +487,7 @@ def validate(config):
 
     rates = {}
     for label, d in (("half", config.delta / 2), ("base", config.delta), ("double", config.delta * 2)):
-        cnt = len(_pool_gap_records(mats, config.lambda0, d))
+        cnt = _pool_gap_records(mats, config.lambda0, d).index.size
         rates[label] = cnt / (2.0 * d * pilot_count)
     if rates["base"] > 0:
         for label in ("half", "double"):

@@ -300,8 +300,7 @@ def phi(u, params):
     """Exponent profile of the tail integral; minimal at u = lam^2."""
     u = np.asarray(u, dtype=float)
     lam2 = params.lam * params.lam
-    c = (3.0 * params.a) ** 2 / (4.0 * np.pi)
-    out = c * (u + lam2) * (1.0 + params.lam / np.sqrt(u) + lam2 / u)
+    out = _gauss_rate(params) * (u + lam2) * (1.0 + params.lam / np.sqrt(u) + lam2 / u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -319,7 +318,7 @@ def tail_integral(h, params):
     """
     lam = params.lam
     lam2 = lam * lam
-    c = (3.0 * params.a) ** 2 / (4.0 * math.pi)
+    c = _gauss_rate(params)
     u_lo = c * lam2 * lam2 / (700.0 * h)
     u_hi = 700.0 * h / c
 
@@ -378,7 +377,7 @@ def tail_report(params, h_grid=None, n_points=25):
 
     h_top = float(h_grid[-1])
     lam2 = params.lam ** 2
-    c = (3.0 * params.a) ** 2 / (4.0 * np.pi)
+    c = _gauss_rate(params)
     u1 = c * lam2 * lam2 / h_top
     u2 = h_top / c
     return TailReport(

@@ -9,13 +9,14 @@ interpolation between bin centers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "SpectralDensity",
-    "GapRecord",
+    "GapRecords",
     "eig_sym",
     "mckay_density",
     "estimate_density",
@@ -164,22 +165,27 @@ def estimate_density(pools, bin_width=None):
     )
 
 
-@dataclass(frozen=True)
-class GapRecord:
-    """One bulk eigenvalue with its two-sided neighbor gaps (index is 1-based)."""
+class GapRecords(NamedTuple):
+    """Interior eigenvalues with their two-sided neighbor gaps, as columns.
 
-    index: int
-    lam: float
-    s_minus: float
-    s_plus: float
+    Four 1-D arrays of one length, one entry per eigenvalue: ``index``
+    (1-based), ``lam``, ``s_minus`` = lam_i - lam_(i-1) and ``s_plus`` =
+    lam_(i+1) - lam_i. ``zip(*records)`` yields the rows.
+    """
+
+    index: np.ndarray
+    lam: np.ndarray
+    s_minus: np.ndarray
+    s_plus: np.ndarray
 
 
 def extract_gap_records(eigenvalues, lambda0, delta):
     """Gap records for interior eigenvalues within |lambda_i - lambda0| < delta.
 
     Only indices with both a left and a right neighbor qualify (2 <= i <= p-1,
-    1-based). Raises on tied eigenvalues, which break the simple-spectrum
-    assumption behind every gap statistic here.
+    1-based); ``extract_gap_records(ev, 0.0, np.inf)`` gives all of them.
+    Raises on tied eigenvalues, which break the simple-spectrum assumption
+    behind every gap statistic here.
     """
     ev = np.asarray(eigenvalues, dtype=float).ravel()
     if delta <= 0:
@@ -189,13 +195,10 @@ def extract_gap_records(eigenvalues, lambda0, delta):
         raise ValueError("eigenvalues must be ascending")
     if np.any(diffs == 0):
         raise ValueError("tied eigenvalues: spectrum is not simple")
-    records = []
-    for i in range(1, ev.size - 1):
-        if abs(ev[i] - lambda0) < delta:
-            records.append(GapRecord(index=i + 1, lam=float(ev[i]),
-                                     s_minus=float(ev[i] - ev[i - 1]),
-                                     s_plus=float(ev[i + 1] - ev[i])))
-    return records
+    inner = ev[1:-1]
+    keep = np.abs(inner - lambda0) < delta
+    return GapRecords(index=np.flatnonzero(keep) + 2, lam=inner[keep],
+                      s_minus=diffs[:-1][keep], s_plus=diffs[1:][keep])
 
 
 def wigner_surmise_pdf(s, p, rho):

@@ -15,29 +15,17 @@ dense product with the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import PopulationMatrix
 from .spectral import eig_sym
 
 __all__ = [
-    "SampleCovariance",
     "eigenvalue_root",
     "sqrt_psd",
     "sample_wishart_scaled",
     "child_seed",
 ]
-
-
-@dataclass(frozen=True)
-class SampleCovariance:
-    """One scaled Wishart draw R (A A^T / n) R^T for a root R of C."""
-
-    matrix: np.ndarray
-    n: int
-    parent_seed: object = None
 
 
 def child_seed(master_seed, *key):
@@ -83,7 +71,9 @@ def sample_wishart_scaled(c_sqrt, n, seed):
     D^(1/2), applied as a row scaling, and the draw is D^(1/2) (A A^T / n)
     D^(1/2), i.e. C_tilde in C's eigenbasis. Requires the classical regime
     n >= p. Deterministic per seed: the same seed draws the same A for
-    either kind of root.
+    either kind of root. Returns the p x p draw as an array. numpy computes
+    B B^T with one SYRK call, which mirrors one triangle, so the draw is
+    exactly symmetric.
     """
     c_sqrt = np.asarray(c_sqrt, dtype=float)
     if c_sqrt.ndim not in (1, 2):
@@ -99,7 +89,5 @@ def sample_wishart_scaled(c_sqrt, n, seed):
     dof = n - np.arange(p, dtype=float)
     a[np.diag_indices(p)] = np.sqrt(rng.chisquare(dof))
     b = c_sqrt[:, None] * a if c_sqrt.ndim == 1 else c_sqrt @ a
-    mat = (b @ b.T) / n
-    mat = (mat + mat.T) / 2.0
-    return SampleCovariance(matrix=mat, n=n, parent_seed=seed)
+    return (b @ b.T) / n
 

@@ -23,12 +23,10 @@ def bulk_ensemble():
 @pytest.fixture(scope="session")
 def bulk_gap_records(bulk_ensemble):
     """Pooled two-sided gap records near lambda0=20 with delta=1."""
-    from eigerr import extract_gap_records
+    from eigerr import GapRecords, extract_gap_records
 
-    records = []
-    for mat in bulk_ensemble:
-        records.extend(extract_gap_records(mat.eigenvalues, 20.0, 1.0))
-    return records
+    records = [extract_gap_records(mat.eigenvalues, 20.0, 1.0) for mat in bulk_ensemble]
+    return GapRecords(*map(np.concatenate, zip(*records)))
 
 
 @pytest.fixture()

@@ -155,7 +155,7 @@ class TestBootstrap:
         assert (res.n_std == 0).all()
 
         draw = sample_wishart_scaled(sqrt_psd(c), 100, child_seed(5, 0))
-        _, v_tilde = eig_sym(draw.matrix)
+        _, v_tilde = eig_sym(draw)
         manual = [100 * aligned_residual(c.eigenvectors[:, i], v_tilde[:, i])
                   for i in range(3)]
         np.testing.assert_allclose(res.n_mean, manual, rtol=1e-12)
@@ -211,13 +211,13 @@ class TestEigenbasisBootstrap:
             seed = child_seed(12, r)
             res, crossing = replicate_residuals(root, 30, seed)
             # The identity u_i^T (U v_i) = V_ii ...
-            _, v = eig_sym(sample_wishart_scaled(root, 30, seed).matrix)
+            _, v = eig_sym(sample_wishart_scaled(root, 30, seed))
             np.testing.assert_allclose(
                 res, [aligned_residual(u[:, i], u @ v[:, i]) for i in range(7)],
                 rtol=0.0, atol=1e-10)
             # ... and the same draw A rotated into the original basis:
             # (U D^(1/2)) A A^T (U D^(1/2))^T / n, solved there.
-            _, v_full = eig_sym(sample_wishart_scaled(u * root, 30, seed).matrix)
+            _, v_full = eig_sym(sample_wishart_scaled(u * root, 30, seed))
             np.testing.assert_allclose(
                 res, [aligned_residual(u[:, i], v_full[:, i]) for i in range(7)],
                 rtol=0.0, atol=1e-10)

@@ -142,6 +142,19 @@ class TestRunners:
         assert (out2 / "estimates.csv").read_bytes() == ref
         assert (out3 / "estimates.csv").read_bytes() == ref
 
+    def test_no_index_in_regime_writes_null(self, tmp_path):
+        # n = p puts every index out of regime, so the median has no data:
+        # stats.json must hold null, not NaN, and parse under a strict parser
+        cfg = ExperimentConfig(out=tmp_path, p=200, k=20, M=2, R=2, n=(200,), seed=3)
+        run("bootstrap-vs-hhat", cfg)
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        stats = json.loads((tmp_path / "stats.json").read_text(), parse_constant=reject)
+        assert stats["indices_in_regime"] == 0
+        assert stats["median_rel_deviation"] is None
+
     def test_every_output_has_header(self, tmp_path):
         cfg = ExperimentConfig(out=tmp_path, n=(10 ** 6,), **SMALL)
         run("bootstrap-vs-hhat", cfg)
@@ -172,7 +185,7 @@ WRITER_CASES = {
     "gaps": (
         _write_csv,
         (["index", "lambda", "s_minus", "s_plus"],
-         [(r.index, r.lam, r.s_minus, r.s_plus) for r in _GAP_RECORDS]),
+         zip(*_GAP_RECORDS)),
         _csv_text(["index", "lambda", "s_minus", "s_plus"], ["2", "2.0", "1.0", "1.0"],
                   ["3", "3.0", "1.0", "1.0"])),
     "hdensity": (
@@ -201,6 +214,12 @@ class TestWriters:
         path = tmp_path / "out"
         writer(path, *args)
         assert path.read_bytes().decode() == expected
+
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_json_rejects_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _write_json(tmp_path / "out", {"statistic": value})
 
 
 class TestValidate:

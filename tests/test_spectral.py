@@ -140,23 +140,23 @@ class TestEstimateDensity:
 class TestGapRecords:
     def test_arithmetic_progression(self):
         recs = extract_gap_records([1.0, 2.0, 3.0, 4.0], 2.5, 1.0)
-        assert [(r.index, r.s_minus, r.s_plus) for r in recs] == \
+        assert list(zip(recs.index, recs.s_minus, recs.s_plus)) == \
             [(2, 1.0, 1.0), (3, 1.0, 1.0)]
 
     def test_window_outside_spectrum(self):
-        assert extract_gap_records([1.0, 2.0, 3.0], 10.0, 0.5) == []
+        assert extract_gap_records([1.0, 2.0, 3.0], 10.0, 0.5).index.size == 0
 
     def test_direct_differences(self):
         recs = extract_gap_records([0.0, 1.0, 1.1, 4.0], 1.05, 0.2)
-        assert len(recs) == 2
-        assert recs[0].lam == pytest.approx(1.0)
-        assert (recs[0].s_minus, recs[0].s_plus) == (1.0, pytest.approx(0.1))
-        assert recs[1].lam == pytest.approx(1.1)
-        assert (recs[1].s_minus, recs[1].s_plus) == (pytest.approx(0.1), 2.9)
+        assert recs.index.size == 2
+        assert recs.lam[0] == pytest.approx(1.0)
+        assert (recs.s_minus[0], recs.s_plus[0]) == (1.0, pytest.approx(0.1))
+        assert recs.lam[1] == pytest.approx(1.1)
+        assert (recs.s_minus[1], recs.s_plus[1]) == (pytest.approx(0.1), 2.9)
 
     def test_boundary_indices_excluded(self):
         recs = extract_gap_records([1.0, 2.0, 3.0], 2.0, 10.0)
-        assert [r.index for r in recs] == [2]
+        assert recs.index.tolist() == [2]
 
     def test_ties_rejected(self):
         with pytest.raises(ValueError, match="tied|simple"):

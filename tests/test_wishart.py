@@ -46,8 +46,8 @@ class TestEigenvalueRoot:
         root = eigenvalue_root([0.0, 1.0, 2.0, 5.0])
         for r in range(5):
             seed = child_seed(17, r)
-            np.testing.assert_allclose(sample_wishart_scaled(root, 40, seed).matrix,
-                                       sample_wishart_scaled(np.diag(root), 40, seed).matrix,
+            np.testing.assert_allclose(sample_wishart_scaled(root, 40, seed),
+                                       sample_wishart_scaled(np.diag(root), 40, seed),
                                        rtol=1e-14, atol=0.0)
 
     def test_bad_root_shape_rejected(self):
@@ -64,25 +64,25 @@ class TestBartlettSampling:
         root = sqrt_psd(np.diag([1.0, 2.0, 3.0]))
         a = sample_wishart_scaled(root, 50, seed=9)
         b = sample_wishart_scaled(root, 50, seed=9)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        np.testing.assert_array_equal(a, b)
         c = sample_wishart_scaled(root, 50, seed=10)
-        assert np.abs(a.matrix - c.matrix).max() > 0
+        assert np.abs(a - c).max() > 0
 
     def test_child_seed_order_independent(self):
         # child seeds are keyed, not sequential: replicate 7 is the same
         # whether or not other replicates were drawn first
         root = np.eye(3)
-        direct = sample_wishart_scaled(root, 20, child_seed(5, 7)).matrix
+        direct = sample_wishart_scaled(root, 20, child_seed(5, 7))
         for r in (0, 3, 7):
-            again = sample_wishart_scaled(root, 20, child_seed(5, r)).matrix
+            again = sample_wishart_scaled(root, 20, child_seed(5, r))
         np.testing.assert_array_equal(
-            direct, sample_wishart_scaled(root, 20, child_seed(5, 7)).matrix)
+            direct, sample_wishart_scaled(root, 20, child_seed(5, 7)))
 
     def test_scalar_chi2_moments(self):
         # p=1: C_tilde = c * chi2_n / n
         c, n, reps = 2.5, 50, 10000
         root = sqrt_psd(np.array([[c]]))
-        draws = np.array([sample_wishart_scaled(root, n, child_seed(21, r)).matrix[0, 0]
+        draws = np.array([sample_wishart_scaled(root, n, child_seed(21, r))[0, 0]
                           for r in range(reps)])
         se_mean = c * np.sqrt(2.0 / n) / np.sqrt(reps)
         assert abs(draws.mean() - c) <= 3 * se_mean
@@ -93,7 +93,7 @@ class TestBartlettSampling:
         c = laplacian(g)
         root = sqrt_psd(c)
         draw = sample_wishart_scaled(root, 10 ** 8, seed=77)
-        rel = np.linalg.norm(draw.matrix - c.matrix) / np.linalg.norm(c.matrix)
+        rel = np.linalg.norm(draw - c.matrix) / np.linalg.norm(c.matrix)
         assert rel <= 1e-3
 
     def test_psd_every_draw(self):
@@ -101,9 +101,9 @@ class TestBartlettSampling:
         root = sqrt_psd(c)
         for r in range(50):
             draw = sample_wishart_scaled(root, 20, child_seed(91, r))
-            w = np.linalg.eigvalsh(draw.matrix)
+            w = np.linalg.eigvalsh(draw)
             assert w.min() >= -1e-10 * max(abs(w).max(), 1.0)
-            np.testing.assert_allclose(draw.matrix, draw.matrix.T)
+            np.testing.assert_array_equal(draw, draw.T)
 
     def test_laplacian_kernel_preserved(self):
         # C^(1/2) annihilates the constant vector, so every draw does too
@@ -112,8 +112,8 @@ class TestBartlettSampling:
         ones = np.ones(30)
         for r in range(10):
             draw = sample_wishart_scaled(root, 64, child_seed(15, r))
-            rel = np.linalg.norm(draw.matrix @ ones) / (
-                np.linalg.norm(draw.matrix) * np.linalg.norm(ones))
+            rel = np.linalg.norm(draw @ ones) / (
+                np.linalg.norm(draw) * np.linalg.norm(ones))
             assert rel <= 1e-7
 
     def test_unbiased_mean_small(self):
@@ -123,7 +123,7 @@ class TestBartlettSampling:
         reps, n = 4000, 12
         draws = np.empty((reps, 6, 6))
         for r in range(reps):
-            draws[r] = sample_wishart_scaled(root, n, child_seed(33, r)).matrix
+            draws[r] = sample_wishart_scaled(root, n, child_seed(33, r))
         se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
         z = np.abs(draws.mean(axis=0) - c.matrix) / se
         assert z.max() < 4.0
@@ -131,4 +131,4 @@ class TestBartlettSampling:
     def test_huge_n_runs(self):
         root = np.eye(3)
         draw = sample_wishart_scaled(root, 10 ** 10, seed=1)
-        assert np.abs(draw.matrix - np.eye(3)).max() < 1e-4
+        assert np.abs(draw - np.eye(3)).max() < 1e-4
