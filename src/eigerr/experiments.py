@@ -487,8 +487,8 @@ def validate(config):
 
     rates = {}
     for label, d in (("half", config.delta / 2), ("base", config.delta), ("double", config.delta * 2)):
-        cnt = _pool_gap_records(mats, config.lambda0, d).index.size
-        rates[label] = cnt / (2.0 * d * pilot_count)
+        pooled = records if label == "base" else _pool_gap_records(mats, config.lambda0, d)
+        rates[label] = pooled.index.size / (2.0 * d * pilot_count)
     if rates["base"] > 0:
         for label in ("half", "double"):
             shift = abs(rates[label] / rates["base"] - 1.0)

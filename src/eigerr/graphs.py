@@ -7,11 +7,12 @@ bulk spectral statistics close to the GOE once k is moderately large.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .spectral import eig_sym
 
@@ -29,13 +30,18 @@ __all__ = [
 MAX_RESTARTS = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularGraph:
-    """Simple k-regular graph on p vertices; edges are sorted (u, v) pairs."""
+    """Simple k-regular graph on p vertices.
+
+    ``edges`` is a read-only (E, 2) int64 array, one edge per row with
+    u < v, rows in ascending (u, v) order. The generated ``__eq__`` would
+    compare arrays elementwise, so graphs compare by identity.
+    """
 
     p: int
     k: int
-    edges: tuple
+    edges: np.ndarray
     seed: int | None = None
 
 
@@ -58,41 +64,32 @@ class PopulationMatrix:
         return eig_sym(self.matrix)[1]
 
 
-def _suitable(edges, potential):
-    # Any pair of leftover stubs that could still form a new edge?
-    if not potential:
-        return True
-    nodes = list(potential)
-    for i, s1 in enumerate(nodes):
-        for s2 in nodes[i + 1:]:
-            u, v = (s1, s2) if s1 < s2 else (s2, s1)
-            if (u, v) not in edges:
-                return True
-    return False
-
-
 def _pairing_attempt(p, k, rng):
-    # One configuration-model round: pair stubs, recycle collisions, repeat.
-    # Returns None on a dead end (no leftover stub pair can form a new edge).
-    edges = set()
+    # One configuration-model round per pass: pair the shuffled stubs, keep
+    # the first occurrence of each new non-loop pair as an edge, recycle the
+    # stubs of the rest (nodes in order of first appearance, each repeated by
+    # its count) and repeat. Edge (u, v), u < v, is entry u*p + v of a flat
+    # p-by-p table of taken pairs; returns the table, or None on a dead end
+    # (no leftover stub pair can form a new edge).
+    taken = np.zeros(p * p, dtype=bool)
     stubs = np.repeat(np.arange(p), k)
-    while stubs.size:
-        stubs = rng.permutation(stubs)
-        leftover = defaultdict(int)
-        pairs = stubs.reshape(-1, 2)
-        for s1, s2 in pairs:
-            u, v = (int(s1), int(s2)) if s1 < s2 else (int(s2), int(s1))
-            if u != v and (u, v) not in edges:
-                edges.add((u, v))
-            else:
-                leftover[u] += 1
-                leftover[v] += 1
-        if not leftover:
-            return edges
-        if not _suitable(edges, leftover):
+    while True:
+        pairs = np.sort(rng.permutation(stubs).reshape(-1, 2), axis=1)
+        u, v = pairs.T
+        keys = u * p + v
+        first = np.zeros(keys.size, dtype=bool)
+        first[np.unique(keys, return_index=True)[1]] = True
+        ok = first & (u != v) & ~taken[keys]
+        taken[keys[ok]] = True
+        left = pairs[~ok].ravel()
+        if not left.size:
+            return taken
+        nodes, at, counts = np.unique(left, return_index=True, return_counts=True)
+        iu, iv = np.triu_indices(nodes.size, 1)
+        if taken[nodes[iu] * p + nodes[iv]].all():
             return None
-        stubs = np.array([node for node, cnt in leftover.items() for _ in range(cnt)])
-    return edges
+        order = np.argsort(at)
+        stubs = np.repeat(nodes[order], counts[order])
 
 
 def sample_regular_graph(p, k, seed):
@@ -109,9 +106,11 @@ def sample_regular_graph(p, k, seed):
         raise ValueError(f"p*k must be even, got p={p}, k={k}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RESTARTS):
-        edges = _pairing_attempt(p, k, rng)
-        if edges is not None:
-            return RegularGraph(p=p, k=k, edges=tuple(sorted(edges)),
+        taken = _pairing_attempt(p, k, rng)
+        if taken is not None:
+            edges = np.column_stack(np.divmod(np.flatnonzero(taken), p))
+            edges.flags.writeable = False
+            return RegularGraph(p=p, k=k, edges=edges,
                                 seed=seed if isinstance(seed, int) else None)
     raise RuntimeError(
         f"could not build a simple {k}-regular graph on {p} vertices "
@@ -122,9 +121,8 @@ def sample_regular_graph(p, k, seed):
 def adjacency_matrix(g):
     """Dense 0/1 adjacency matrix."""
     a = np.zeros((g.p, g.p))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    u, v = g.edges.T
+    a[np.r_[u, v], np.r_[v, u]] = 1.0
     return a
 
 
@@ -135,9 +133,7 @@ def incidence_matrix(g):
     used as a reconstruction check.
     """
     x = np.zeros((g.p, len(g.edges)))
-    for e, (u, v) in enumerate(g.edges):
-        x[u, e] = 1.0
-        x[v, e] = -1.0
+    x[g.edges.T, np.arange(len(g.edges))] = [[1.0], [-1.0]]
     return x
 
 
@@ -155,21 +151,11 @@ def population_matrix(matrix):
 
 
 def is_connected(g):
-    """BFS connectivity check; disconnected samples are kept but flagged."""
-    if g.p == 0:
-        return True
-    neighbors = defaultdict(list)
-    for u, v in g.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = np.zeros(g.p, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for nxt in neighbors[node]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    return bool(seen.all())
+    """Whether the graph has one connected component (scipy's csgraph).
 
+    Disconnected samples are kept but flagged; a graph without vertices
+    counts as connected.
+    """
+    u, v = g.edges.T
+    adjacency = coo_array((np.ones(u.size), (u, v)), shape=(g.p, g.p))
+    return connected_components(adjacency, directed=False)[0] <= 1

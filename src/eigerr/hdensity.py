@@ -27,7 +27,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .estimators import h_hat
-from .spectral import joint_gap_pdf, wigner_surmise_pdf
+from .spectral import gauss_rate, joint_gap_pdf, wigner_surmise_pdf
 
 __all__ = [
     "HDensityParams",
@@ -88,11 +88,6 @@ def s0(h, params):
     if h <= 0:
         raise ValueError("h must be positive")
     return _root(h, params)
-
-
-def _gauss_rate(params):
-    # b of J's Gaussian factor e^(-b (s-^2 + s+^2 + s- s+)), b = (3a)^2 / (4 pi).
-    return 9.0 * params.a * params.a / (4.0 * math.pi)
 
 
 def _residual(h, s_plus, params):
@@ -181,7 +176,7 @@ def _half_arc_rule(h, params, integrand):
     # the sum, and the value is exactly 0; summing anyway gives inf * 0 once
     # s^3 or x^2 overflow (h below ~1e-100 h_typ). The test b s_eq^2 <= 746
     # is taken on s_eq, as s_eq^2 itself overflows below ~1e-150 h_typ.
-    live = (s_eq <= math.sqrt(_EXP_UNDERFLOW / _gauss_rate(params))).ravel()
+    live = (s_eq <= math.sqrt(_EXP_UNDERFLOW / gauss_rate(params.a))).ravel()
     values = np.zeros(h_col.shape[0])
     if live.any():
         h_live, s_live = h_col[live], s_eq[live]
@@ -215,7 +210,7 @@ def _upper_mass(lo, x, params):
     # erfc is written as erfcx times its Gaussian, which joins J's.
     a = params.a
     c = 2187.0 * a ** 5 / (32.0 * math.pi ** 3)  # 3^7 = 2187
-    b = _gauss_rate(params)
+    b = gauss_rate(a)
     t0 = lo + 0.5 * x
     tail = t0 / (2.0 * b) + (0.5 / b - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / b) \
         * erfcx(math.sqrt(b) * t0)
@@ -300,7 +295,7 @@ def phi(u, params):
     """Exponent profile of the tail integral; minimal at u = lam^2."""
     u = np.asarray(u, dtype=float)
     lam2 = params.lam * params.lam
-    out = _gauss_rate(params) * (u + lam2) * (1.0 + params.lam / np.sqrt(u) + lam2 / u)
+    out = gauss_rate(params.a) * (u + lam2) * (1.0 + params.lam / np.sqrt(u) + lam2 / u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -318,7 +313,7 @@ def tail_integral(h, params):
     """
     lam = params.lam
     lam2 = lam * lam
-    c = _gauss_rate(params)
+    c = gauss_rate(params.a)
     u_lo = c * lam2 * lam2 / (700.0 * h)
     u_hi = 700.0 * h / c
 
@@ -377,7 +372,7 @@ def tail_report(params, h_grid=None, n_points=25):
 
     h_top = float(h_grid[-1])
     lam2 = params.lam ** 2
-    c = _gauss_rate(params)
+    c = gauss_rate(params.a)
     u1 = c * lam2 * lam2 / h_top
     u2 = h_top / c
     return TailReport(

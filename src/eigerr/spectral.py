@@ -24,6 +24,7 @@ __all__ = [
     "wigner_surmise_pdf",
     "wigner_surmise_cdf",
     "joint_gap_pdf",
+    "gauss_rate",
 ]
 
 SYMMETRY_RTOL = 1e-10
@@ -36,19 +37,20 @@ def eig_sym(m, eigvals_only=False):
     eigenvectors as orthonormal columns, or the eigenvalues alone with
     ``eigvals_only=True`` (a cheaper solve that forms no vectors).
     The input must be symmetric to within 1e-10 relative to its largest
-    entry; it is symmetrized before the solve so the decomposition is
-    exactly that of (m + m.T)/2.
+    entry; the decomposition is exactly that of (m + m.T)/2, which is m
+    itself when m is exactly symmetric (then no copy is made).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    sym = (m + m.T) / 2.0
+    if not np.array_equal(m, m.T):
+        scale = np.abs(m).max()
+        if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
+            raise ValueError("matrix is not symmetric within tolerance")
+        m = (m + m.T) / 2.0
     if eigvals_only:
-        return np.linalg.eigvalsh(sym)
-    w, v = np.linalg.eigh(sym)
+        return np.linalg.eigvalsh(m)
+    w, v = np.linalg.eigh(m)
     return w, v
 
 
@@ -224,6 +226,11 @@ def wigner_surmise_cdf(s, p, rho):
     return float(out) if out.ndim == 0 else out
 
 
+def gauss_rate(a):
+    """Rate b = (3a)^2 / (4 pi) of J's Gaussian factor exp(-b (s-^2 + s+^2 + s- s+))."""
+    return 9.0 * a * a / (4.0 * np.pi)
+
+
 def joint_gap_pdf(s_minus, s_plus, p, rho):
     """Joint density of left/right neighbor gaps, generalized GOE surmise.
 
@@ -239,7 +246,7 @@ def joint_gap_pdf(s_minus, s_plus, p, rho):
     sm = np.asarray(s_minus, dtype=float)
     sp = np.asarray(s_plus, dtype=float)
     coef = 3.0 ** 7 * a ** 5 / (32.0 * np.pi ** 3)
-    b = (3.0 * a) ** 2 / (4.0 * np.pi)
+    b = gauss_rate(a)
     out = coef * sp * sm * (sp + sm) * np.exp(-b * (sp * sp + sm * sm + sp * sm))
     out = np.where((sm >= 0) & (sp >= 0), out, 0.0)
     return float(out) if out.ndim == 0 else out

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from eigerr import HDensityParams, SpectralDensity, extract_gap_records, tail_report
+from eigerr import experiments, laplacian, sample_regular_graph
+from eigerr.wishart import child_seed
 from eigerr.cli import main
 from eigerr.experiments import (
     ESTIMATE_COLUMNS,
@@ -254,6 +256,26 @@ class TestValidate:
                                lambda0=28.5, delta=1.0, seed=5)
         report = validate(cfg)
         assert any(w.startswith("delta_sensitivity") for w in report["warnings"])
+
+    def test_three_extractions_per_pilot_matrix(self, monkeypatch):
+        # The base-delta records serve both the pilot estimate and the base
+        # rate, so each pilot matrix is scanned once per delta.
+        cfg = ExperimentConfig(n=(10 ** 9,), **SMALL)
+        mats = [laplacian(sample_regular_graph(cfg.p, cfg.k, child_seed(cfg.seed, 0, m)))
+                for m in range(cfg.M)]
+        expected = {}
+        for label, d in (("half", 0.5), ("base", 1.0), ("double", 2.0)):
+            count = sum(extract_gap_records(m.eigenvalues, cfg.lambda0, d).index.size
+                        for m in mats)
+            expected[label] = count / (2.0 * d * cfg.M)
+        calls = []
+        extract = experiments.extract_gap_records
+        monkeypatch.setattr(experiments, "extract_gap_records",
+                            lambda *args: calls.append(args) or extract(*args))
+        report = validate(cfg)
+        assert list(report["record_rates_per_unit_delta"].items()) == list(expected.items())
+        assert report["pilot_h_hat"] is not None and report["ok"]
+        assert len(calls) == 3 * cfg.M
 
 
 class TestCli:

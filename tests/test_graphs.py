@@ -1,18 +1,104 @@
 """Configuration-model sampling and Laplacian construction."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eigerr import is_connected, laplacian, population_matrix, sample_regular_graph
-from eigerr.graphs import adjacency_matrix, incidence_matrix
+from eigerr import (
+    RegularGraph,
+    is_connected,
+    laplacian,
+    population_matrix,
+    sample_regular_graph,
+)
+from eigerr.graphs import MAX_RESTARTS, adjacency_matrix, incidence_matrix
 
 
 def degrees(g):
-    deg = np.zeros(g.p, dtype=int)
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+    return np.bincount(g.edges.ravel(), minlength=g.p)
+
+
+# The per-pair sampler the array rounds replace, kept as the oracle: it
+# draws the same RNG stream and must give the same edges.
+def _oracle_suitable(edges, potential):
+    if not potential:
+        return True
+    nodes = list(potential)
+    for i, s1 in enumerate(nodes):
+        for s2 in nodes[i + 1:]:
+            u, v = (s1, s2) if s1 < s2 else (s2, s1)
+            if (u, v) not in edges:
+                return True
+    return False
+
+
+def _oracle_pairing_attempt(p, k, rng):
+    edges = set()
+    stubs = np.repeat(np.arange(p), k)
+    while stubs.size:
+        stubs = rng.permutation(stubs)
+        leftover = defaultdict(int)
+        pairs = stubs.reshape(-1, 2)
+        for s1, s2 in pairs:
+            u, v = (int(s1), int(s2)) if s1 < s2 else (int(s2), int(s1))
+            if u != v and (u, v) not in edges:
+                edges.add((u, v))
+            else:
+                leftover[u] += 1
+                leftover[v] += 1
+        if not leftover:
+            return edges
+        if not _oracle_suitable(edges, leftover):
+            return None
+        stubs = np.array([node for node, cnt in leftover.items() for _ in range(cnt)])
+    return edges
+
+
+def oracle_edges(p, k, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_RESTARTS):
+        edges = _oracle_pairing_attempt(p, k, rng)
+        if edges is not None:
+            return tuple(sorted(edges))
+    raise RuntimeError("oracle found no graph")
+
+
+def oracle_adjacency(p, edges):
+    a = np.zeros((p, p))
+    for u, v in edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
+
+
+class TestOracle:
+    @pytest.mark.parametrize("p,k", [(1000, 20), (200, 20), (12, 2), (50, 3),
+                                     (30, 29), (10, 3), (4, 3)])
+    def test_edges_match_per_pair_sampler(self, p, k):
+        for seed in range(20):
+            g = sample_regular_graph(p, k, seed=seed)
+            assert g.edges.dtype == np.int64 and g.edges.shape == (p * k // 2, 2)
+            assert np.array_equal(g.edges, np.array(oracle_edges(p, k, seed)))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(shape=st.integers(2, 24)
+           .flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1)))
+           .filter(lambda pk: pk[0] * pk[1] % 2 == 0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_edges_and_adjacency_match_oracle(self, shape, seed):
+        p, k = shape
+        g = sample_regular_graph(p, k, seed=seed)
+        expected = oracle_edges(p, k, seed)
+        assert np.array_equal(g.edges, np.array(expected).reshape(-1, 2))
+        assert np.array_equal(adjacency_matrix(g), oracle_adjacency(p, expected))
+
+    def test_edges_are_read_only(self):
+        g = sample_regular_graph(10, 3, seed=0)
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 5
 
 
 class TestSampling:
@@ -29,33 +115,41 @@ class TestSampling:
     def test_k4_is_unique_3_regular_graph(self):
         # Only one simple 3-regular graph exists on 4 vertices.
         g = sample_regular_graph(4, 3, seed=11)
-        assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
     def test_two_regular_is_cycle_cover(self):
         g = sample_regular_graph(6, 2, seed=5)
         assert (degrees(g) == 2).all()
         assert len(g.edges) == 6
-        assert len(set(g.edges)) == 6
+        assert len(np.unique(g.edges, axis=0)) == 6
 
     def test_determinism(self):
         a = sample_regular_graph(100, 20, seed=42)
         b = sample_regular_graph(100, 20, seed=42)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
         c = sample_regular_graph(100, 20, seed=43)
-        assert a.edges != c.edges
+        assert not np.array_equal(a.edges, c.edges)
 
     @pytest.mark.parametrize("p,k", [(60, 7), (100, 20), (51, 4)])
     def test_degree_histogram_is_point_mass(self, p, k):
         g = sample_regular_graph(p, k, seed=1)
         assert (degrees(g) == k).all()
         # simple graph: no duplicate edges, no self loops
-        assert len(set(g.edges)) == len(g.edges)
-        assert all(u != v for u, v in g.edges)
+        assert len(np.unique(g.edges, axis=0)) == len(g.edges)
+        assert (g.edges[:, 0] != g.edges[:, 1]).all()
 
     def test_connectivity_diagnostic(self):
         # k >= 3 graphs are connected for nearly every seed (not a hard rule).
         hits = sum(is_connected(sample_regular_graph(100, 3, seed=s)) for s in range(50))
         assert hits >= 49
+
+    def test_two_disjoint_k4_are_disconnected(self):
+        k4 = [[u, v] for u in range(4) for v in range(u + 1, 4)]
+        edges = np.array(k4 + [[u + 4, v + 4] for u, v in k4])
+        g = RegularGraph(p=8, k=3, edges=edges)
+        assert (degrees(g) == 3).all()
+        assert is_connected(g) is False
+        assert is_connected(RegularGraph(p=4, k=3, edges=np.array(k4))) is True
 
 
 class TestLaplacian:

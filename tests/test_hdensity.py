@@ -291,9 +291,10 @@ class TestFixedRule:
     def test_values_next_to_the_cut_are_already_zero(self):
         # Just above the cut the sums are already exactly 0.0, so the cut
         # changes no value: b s_eq^2 = 746 sits past exp's underflow.
-        from eigerr.hdensity import _EXP_UNDERFLOW, _gauss_rate
+        from eigerr.hdensity import _EXP_UNDERFLOW
+        from eigerr.spectral import gauss_rate
 
-        s_cut = math.sqrt(_EXP_UNDERFLOW / _gauss_rate(LAM20))
+        s_cut = math.sqrt(_EXP_UNDERFLOW / gauss_rate(LAM20.a))
         a_c, b_c = LAM20.lam ** 2, LAM20.lam ** 2 * LAM20.a
         h_cut = 2.0 * (a_c / s_cut ** 2 + b_c / s_cut)  # s0(h_cut / 2) = s_cut
         assert math.exp(-_EXP_UNDERFLOW) == 0.0

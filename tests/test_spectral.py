@@ -62,6 +62,31 @@ class TestEigSym:
         with pytest.raises(ValueError):
             eig_sym(np.ones((2, 3)))
 
+    def test_exactly_symmetric_input_is_solved_as_is(self, rng):
+        m = rng.standard_normal((40, 40))
+        m = m + m.T
+        assert np.array_equal(eig_sym(m, eigvals_only=True), np.linalg.eigvalsh(m))
+        w, v = eig_sym(m)
+        w_ref, v_ref = np.linalg.eigh(m)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_tiny_asymmetry_is_symmetrized(self, rng):
+        m = rng.standard_normal((40, 40))
+        m = m + m.T
+        skewed = m.copy()
+        skewed[3, 7] += 1e-12
+        sym = (skewed + skewed.T) / 2.0
+        assert np.array_equal(eig_sym(skewed, eigvals_only=True), np.linalg.eigvalsh(sym))
+        # solving the skewed input as it stands would give other bits
+        assert not np.array_equal(np.linalg.eigvalsh(skewed), np.linalg.eigvalsh(sym))
+
+    def test_asymmetry_past_tolerance_raises(self, rng):
+        m = rng.standard_normal((40, 40))
+        m = m + m.T
+        m[3, 7] += 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            eig_sym(m, eigvals_only=True)
+
 
 class TestMcKay:
     def test_center_value(self):
