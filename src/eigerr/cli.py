@@ -20,7 +20,8 @@ ENV_PREFIX = "EIGERR_"
 
 
 def _parse_n(text):
-    values = tuple(int(float(part)) for part in text.split(",") if part.strip())
+    # Floats pass through as they are; ExperimentConfig refuses 1000.5.
+    values = tuple(float(part) for part in text.split(",") if part.strip())
     if not values:
         raise ValueError("no sample counts given")
     return values

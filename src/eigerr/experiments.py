@@ -51,6 +51,16 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
 
 
+def _sample_count(value):
+    # 1e3 is 1000, but 1000.5 is not a sample count: refuse it, never round it.
+    try:
+        if value == int(value):
+            return int(value)
+    except (OverflowError, TypeError, ValueError):  # inf, None, nan
+        pass
+    raise ConfigError(f"n must be integral, not {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs shared by all experiments; `n` may carry several sample sizes."""
@@ -70,7 +80,7 @@ class ExperimentConfig:
         # A string is iterable too: "100" would become n=(1, 0, 0).
         if isinstance(self.n, (str, bytes)):
             raise ConfigError(f"n must be an integer or a sequence of integers, not {self.n!r}")
-        self.n = tuple(int(v) for v in (self.n if hasattr(self.n, "__iter__") else (self.n,)))
+        self.n = tuple(map(_sample_count, self.n if hasattr(self.n, "__iter__") else (self.n,)))
         self.out = Path(self.out)
 
     def check(self):
@@ -415,9 +425,6 @@ EXPERIMENTS = {
     "fh-density": _run_fh_density,
     "tail": _run_tail,
     "bound-scatter": _run_bound_scatter,
-    # Same pipeline as fh-density; run with small R or small n to expose the
-    # two bootstrap failure modes.
-    "bootstrap-discrepancy": _run_fh_density,
 }
 
 

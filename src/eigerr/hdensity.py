@@ -11,10 +11,11 @@ cumulative F_H semi-analytically: the level set h_hat = h is solved in
 closed form (``s0``, ``s_star``), and both reduce to one-dimensional
 integrals over half of it, summed by a fixed Gauss-Legendre rule checked at
 two orders. The large-h tail obeys f_H = O(p^2/h^2), which ``tail_report``
-verifies numerically.
+verifies numerically; its tail integral runs on the same fixed rule.
 
-Everything is a function of (lam, a = p*rho) only; sampling utilities for
-the joint gap surmise are included as an independent Monte-Carlo oracle.
+Everything is a function of (lam, a = p*rho) only. ``sample_joint_gaps``
+draws the joint gap surmise exactly, as the spacings of three GOE levels,
+and serves as an independent Monte-Carlo oracle.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .estimators import h_hat
-from .spectral import gauss_rate, joint_gap_pdf, wigner_surmise_pdf
+from .spectral import gauss_rate, joint_gap_pdf
 
 __all__ = [
     "HDensityParams",
@@ -59,12 +59,12 @@ class HDensityParams:
     a: float = field(init=False)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        a = self.p * self.rho
-        if a <= 0:
-            raise ValueError("p * rho must be positive")
-        object.__setattr__(self, "a", float(a))
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be finite and positive")
+        a = float(self.p * self.rho)
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError("p * rho must be finite and positive")
+        object.__setattr__(self, "a", a)
 
 
 def _coefs(params):
@@ -119,15 +119,6 @@ def ds_star_dh(h, s_plus, params):
     return -s ** 3 / (2.0 * a_c + b_c * s)
 
 
-def _checked_quad(func, lo, hi, points=None):
-    res = quad(func, lo, hi, points=points, full_output=1, epsabs=0.0, epsrel=1e-10, limit=200)
-    value, abserr = res[0], res[1]
-    # Relative gate: an absolute floor would pass any failure on a smaller integral.
-    if len(res) > 3 and abserr > max(1e-6 * abs(value), np.finfo(float).tiny):
-        raise RuntimeError(f"quadrature did not converge: {res[3]}")
-    return value
-
-
 # Fixed Gauss-Legendre rules: every integral is summed at both orders on the
 # same panels, and the two sums must agree to _RULE_RTOL.
 _RULES = [np.polynomial.legendre.leggauss(n) for n in (64, 40)]
@@ -163,28 +154,37 @@ def _fixed_rule(integrand, edges):
     return fine
 
 
-def _half_arc_rule(h, params, integrand):
-    # Sum integrand(s_star, s_eq, s+) over s+ in [s_eq, s_eq + 12/a] for every
-    # h; s_star = s_star(h, s+) <= s_eq there. A scalar h gives a float.
+def _over_h(h, rule):
+    # rule(h_col) -> one value per row of the (m, 1) column h_col; the result
+    # takes the shape of h, and a scalar h gives a float.
     h = np.asarray(h, dtype=float)
     if not np.all(h > 0):
         raise ValueError("h must be positive")
-    h_col = h.reshape(-1, 1)
-    s_eq = _root(h_col / 2.0, params)
-    # On the half arc s+ >= s_eq, so J's Gaussian factor e^(-b (s-^2 + s+^2 +
-    # s- s+)) is below e^(-b s_eq^2). Where that is 0.0, so is every term of
-    # the sum, and the value is exactly 0; summing anyway gives inf * 0 once
-    # s^3 or x^2 overflow (h below ~1e-100 h_typ). The test b s_eq^2 <= 746
-    # is taken on s_eq, as s_eq^2 itself overflows below ~1e-150 h_typ.
-    live = (s_eq <= math.sqrt(_EXP_UNDERFLOW / gauss_rate(params.a))).ravel()
-    values = np.zeros(h_col.shape[0])
-    if live.any():
-        h_live, s_live = h_col[live], s_eq[live]
-        values[live] = _fixed_rule(
-            lambda s_plus: integrand(
-                _root(_residual(h_live, s_plus, params), params), s_live, s_plus),
-            s_live + _ARC_EDGES / params.a)
+    values = rule(h.reshape(-1, 1))
     return float(values[0]) if h.ndim == 0 else values.reshape(h.shape)
+
+
+def _half_arc_rule(h, params, integrand):
+    # Sum integrand(s_star, s_eq, s+) over s+ in [s_eq, s_eq + 12/a] for every
+    # h; s_star = s_star(h, s+) <= s_eq there.
+    def rule(h_col):
+        s_eq = _root(h_col / 2.0, params)
+        # On the half arc s+ >= s_eq, so J's Gaussian factor e^(-b (s-^2 + s+^2 +
+        # s- s+)) is below e^(-b s_eq^2). Where that is 0.0, so is every term of
+        # the sum, and the value is exactly 0; summing anyway gives inf * 0 once
+        # s^3 or x^2 overflow (h below ~1e-100 h_typ). The test b s_eq^2 <= 746
+        # is taken on s_eq, as s_eq^2 itself overflows below ~1e-150 h_typ.
+        live = (s_eq <= math.sqrt(_EXP_UNDERFLOW / gauss_rate(params.a))).ravel()
+        values = np.zeros(h_col.shape[0])
+        if live.any():
+            h_live, s_live = h_col[live], s_eq[live]
+            values[live] = _fixed_rule(
+                lambda s_plus: integrand(
+                    _root(_residual(h_live, s_plus, params), params), s_live, s_plus),
+                s_live + _ARC_EDGES / params.a)
+        return values
+
+    return _over_h(h, rule)
 
 
 def f_H(h, params):
@@ -245,44 +245,22 @@ def f_H_mass(params):
     return float(mass + f_H(h_hi, params) * h_hi)
 
 
-def sample_joint_gaps(params, size, seed, batch=None):
-    """Draw (s-, s+) pairs from the joint gap surmise by rejection sampling.
+def sample_joint_gaps(params, size, seed):
+    """Draw (s-, s+) pairs from the joint gap surmise J, exactly.
 
-    Proposal: product of two independent Wigner-surmise marginals at a
-    slightly widened scale (0.9 a), so the density ratio stays bounded; the
-    envelope constant is computed numerically once per call. This sampler is
-    the Monte-Carlo oracle for f_H and deliberately avoids the s0/s_star
-    machinery.
+    J is the spacing law of three GOE levels (Mehta, Random Matrices, ch. 4).
+    With s- = r sin(theta) and s+ = r sin(pi/3 - theta), theta in (0, pi/3),
+    the form Q = s-^2 + s+^2 + s- s+ is 3 r^2 / 4, ds- ds+ is proportional
+    to r dr dtheta, and s- s+ (s- + s+) = r^3 sin(3 theta) / 4. So J factors:
+    g = b Q ~ Gamma(5/2), b = gauss_rate(a), gives r = 2 sqrt(g / (3b)), and
+    theta = arccos(1 - 2U) / 3 has density proportional to sin(3 theta).
+    This sampler is the Monte-Carlo oracle for f_H and deliberately avoids
+    the s0/s_star machinery.
     """
     rng = np.random.default_rng(seed)
-    a = params.a
-    a_prop = 0.9 * a
-    p_eff = a_prop / params.rho  # wigner_surmise_pdf takes (p, rho) with a = p*rho
-
-    grid = np.linspace(1e-5 / a, 14.0 / a, 400)
-    gm, gp = np.meshgrid(grid, grid, indexing="ij")
-    proposal = wigner_surmise_pdf(gm, p_eff, params.rho) * \
-        wigner_surmise_pdf(gp, p_eff, params.rho)
-    ratio = joint_gap_pdf(gm, gp, params.p, params.rho) / proposal
-    envelope = 1.3 * float(ratio.max())
-
-    if batch is None:
-        batch = int(2 * size * envelope) + 64
-    out_m = np.empty(0)
-    out_p = np.empty(0)
-    scale = 2.0 / (a_prop * np.sqrt(np.pi))
-    while out_m.size < size:
-        sm = scale * np.sqrt(-np.log1p(-rng.random(batch)))
-        sp = scale * np.sqrt(-np.log1p(-rng.random(batch)))
-        accept_prob = joint_gap_pdf(sm, sp, params.p, params.rho) / (
-            envelope
-            * wigner_surmise_pdf(sm, p_eff, params.rho)
-            * wigner_surmise_pdf(sp, p_eff, params.rho)
-        )
-        keep = rng.random(batch) < accept_prob
-        out_m = np.concatenate([out_m, sm[keep]])
-        out_p = np.concatenate([out_p, sp[keep]])
-    return out_m[:size], out_p[:size]
+    r = 2.0 * np.sqrt(rng.gamma(2.5, size=size) / (3.0 * gauss_rate(params.a)))
+    theta = np.arccos(1.0 - 2.0 * rng.random(size)) / 3.0
+    return r * np.sin(theta), r * np.sin(np.pi / 3.0 - theta)
 
 
 def push_h_samples(params, size, seed):
@@ -308,26 +286,30 @@ def tail_integral(h, params):
     """I(h) = int_0^inf (1 + lam^2/u)^(5/2) (sqrt(u) + lam) e^(-phi(u)/h) du.
 
     Carries the large-h scaling of f_H beyond the explicit h^(-7/2) factor;
-    I(h) * p^3 / h^(3/2) plateaus for h far above the phi minimum. Evaluated
-    in log-u with the integration range cut where the exponent passes ~700.
+    I(h) * p^3 / h^(3/2) plateaus for h far above the phi minimum. Summed by
+    the fixed rule in t = log u, on a range cut where the exponent passes
+    ~700 and split at the asymptotic roots c lam^4 / h and h / c of
+    phi(u) = h, c = gauss_rate(a), and at the minimum u = lam^2. ``h`` is a
+    scalar (returns a float) or an array.
     """
-    lam = params.lam
-    lam2 = lam * lam
+    lam2 = params.lam * params.lam
     c = gauss_rate(params.a)
-    u_lo = c * lam2 * lam2 / (700.0 * h)
-    u_hi = 700.0 * h / c
 
-    def integrand(t):
-        u = math.exp(t)
-        expo = c * (u + lam2) * (1.0 + lam / math.sqrt(u) + lam2 / u) / h
-        if expo > 700.0:
-            return 0.0
-        g = (1.0 + lam2 / u) ** 2.5 * (math.sqrt(u) + lam)
-        return g * math.exp(-expo) * u
+    def rule(h_col):
+        breaks = np.log(np.hstack([c * lam2 * lam2 / h_col, np.full_like(h_col, lam2),
+                                   h_col / c]))
+        t_lo = breaks[:, :1] - math.log(700.0)
+        t_hi = breaks[:, 2:] + math.log(700.0)
+        edges = np.hstack([t_lo, np.sort(np.clip(breaks, t_lo, t_hi), axis=1), t_hi])
 
-    pts = sorted(math.log(x) for x in (c * lam2 * lam2 / h, lam2, h / c)
-                 if u_lo < x < u_hi)
-    return _checked_quad(integrand, math.log(u_lo), math.log(u_hi), points=pts)
+        def integrand(t):
+            u = np.exp(t)
+            return (1.0 + lam2 / u) ** 2.5 * (np.sqrt(u) + params.lam) \
+                * np.exp(-phi(u, params) / h_col) * u
+
+        return _fixed_rule(integrand, edges)
+
+    return _over_h(h, rule)
 
 
 @dataclass(frozen=True)
@@ -366,8 +348,7 @@ def tail_report(params, h_grid=None, n_points=25):
     fh = f_H(h_grid, params)
     slope = float(np.polyfit(np.log(h_grid), np.log(fh), 1)[0])
 
-    ivals = np.array([tail_integral(h, params) for h in h_grid])
-    plateau = ivals * params.p ** 3 / h_grid ** 1.5
+    plateau = tail_integral(h_grid, params) * params.p ** 3 / h_grid ** 1.5
     spread = float((plateau.max() - plateau.min()) / np.median(plateau))
 
     h_top = float(h_grid[-1])

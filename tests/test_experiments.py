@@ -11,7 +11,7 @@ import pytest
 from eigerr import HDensityParams, SpectralDensity, extract_gap_records, tail_report
 from eigerr import experiments, laplacian, sample_regular_graph
 from eigerr.wishart import child_seed
-from eigerr.cli import main
+from eigerr.cli import _resolve, build_parser, main
 from eigerr.experiments import (
     ESTIMATE_COLUMNS,
     HDENSITY_COLUMNS,
@@ -52,6 +52,13 @@ class TestConfig:
     def test_string_n_rejected(self, raw):
         # a string would iterate into digits: "100" -> (1, 0, 0)
         with pytest.raises(ConfigError, match="^n must be"):
+            ExperimentConfig(p=10, k=2, n=raw)
+
+    @pytest.mark.parametrize("raw", [1000.7, (1000, 2500.5), float("inf"), float("nan")],
+                             ids=["scalar", "in-list", "inf", "nan"])
+    def test_non_integral_n_rejected(self, raw):
+        # never truncated: n=1000.7 must not run as n=1000
+        with pytest.raises(ConfigError, match="^n must be integral"):
             ExperimentConfig(p=10, k=2, n=raw)
 
     def test_unknown_experiment(self, tmp_path):
@@ -115,13 +122,6 @@ class TestRunners:
         assert fh[0] == ["h", "f_H", "F_H"]
         cdf = np.array([float(r[2]) for r in fh[1:]])
         assert (np.diff(cdf) >= -1e-9).all()
-
-    def test_bootstrap_discrepancy_alias(self, tmp_path):
-        # same pipeline as fh-density under a separate experiment name
-        cfg = ExperimentConfig(out=tmp_path, n=(10 ** 6,), **SMALL)
-        manifest = run("bootstrap-discrepancy", cfg)
-        assert manifest["experiment"] == "bootstrap-discrepancy"
-        assert (tmp_path / "bootstrap.csv").exists()
 
     def test_tail_outputs(self, tmp_path):
         cfg = ExperimentConfig(out=tmp_path, n=(1000,), **SMALL)
@@ -292,6 +292,17 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_non_integral_n_exit_one(self, tmp_path, capsys):
+        code = main(["run", "density", "--p", "60", "--k", "4", "--n", "1000.5",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "n must be integral" in capsys.readouterr().err
+        assert not (tmp_path / "density.csv").exists()
+
+    def test_n_list_in_scientific_notation(self):
+        args = build_parser().parse_args(["validate", "--n", "1e3,2.5e3"])
+        assert _resolve(args).n == (1000, 2500)
 
     def test_unknown_flag_value_exit_one(self, tmp_path, capsys):
         code = main(["run", "density", "--p", "abc", "--out", str(tmp_path)])

@@ -9,11 +9,11 @@ from scipy import optimize, stats
 from scipy.integrate import quad
 
 from eigerr import SpectralDensity, h_hat, joint_gap_pdf
-from eigerr.experiments import _fh_grid
+from eigerr.experiments import _fh_grid, _joint_cell_masses
 from eigerr.hdensity import (
     F_H,
     HDensityParams,
-    _checked_quad,
+    _fixed_rule,
     ds_star_dh,
     f_H,
     f_H_mass,
@@ -46,10 +46,12 @@ class TestParams:
         assert UNIT.a == 1.0
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            HDensityParams(lam=0.0, p=4, rho=0.25)
-        with pytest.raises(ValueError):
-            HDensityParams(lam=1.0, p=4, rho=0.0)
+        nan, inf = float("nan"), float("inf")
+        # A NaN rho would make f_H and F_H read 0.0 for every h.
+        for lam, p, rho in [(0.0, 4, 0.25), (1.0, 4, 0.0), (1.0, 10, nan), (nan, 4, 0.25),
+                            (inf, 4, 0.25), (-inf, 4, 0.25), (1.0, 4, inf)]:
+            with pytest.raises(ValueError, match="positive"):
+                HDensityParams(lam=lam, p=p, rho=rho)
 
 
 class TestS0:
@@ -255,17 +257,23 @@ class TestFixedRule:
 
     def test_array_equals_scalar(self):
         hms = h_min_scale(LAM20)
-        grid = np.concatenate([_fh_grid(LAM20), np.geomspace(100.0 * hms, 1e4 * hms, 25)])
+        tail_grid = np.geomspace(100.0 * hms, 1e4 * hms, 25)
+        grid = np.concatenate([_fh_grid(LAM20), tail_grid])
         for func in (f_H, F_H):
             scalars = [func(h, LAM20) for h in grid]
             assert all(type(v) is float for v in scalars)
             np.testing.assert_array_equal(func(grid, LAM20), scalars)
             np.testing.assert_array_equal(func(grid.reshape(5, 17), LAM20),
                                           np.reshape(scalars, (5, 17)))
+        scalars = [tail_integral(h, LAM20) for h in tail_grid]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_array_equal(tail_integral(tail_grid, LAM20), scalars)
+        np.testing.assert_array_equal(tail_integral(tail_grid.reshape(5, 5), LAM20),
+                                      np.reshape(scalars, (5, 5)))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_array_with_nonpositive_raises(self, bad):
-        for func in (f_H, F_H):
+        for func in (f_H, F_H, tail_integral):
             with pytest.raises(ValueError, match="positive"):
                 func(np.array([1.0, bad, 2.0]), UNIT)
 
@@ -301,12 +309,12 @@ class TestFixedRule:
         for h in h_cut * np.array([1.0 + 1e-9, 1.01, 1.1]):
             assert f_H(h, LAM20) == 0.0 and F_H(h, LAM20) == 0.0
 
-    def test_checked_quad_gate_is_relative(self):
-        # An unresolved Lorentzian of half-width 1e-10: the true integral is
-        # ~pi * 1e-10, and quad's error estimate, though far below an
-        # absolute 1e-8 floor, exceeds 1e-6 of its value.
+    def test_fixed_rule_gate_is_relative(self):
+        # An unresolved Lorentzian of half-width 1e-10: both sums are far
+        # below an absolute 1e-8 floor, but they differ by more than 1e-6
+        # of their value.
         with pytest.raises(RuntimeError, match="did not converge"):
-            _checked_quad(lambda x: 1e-20 / ((x - 0.3) ** 2 + 1e-20), 0.0, 1.0)
+            _fixed_rule(lambda x: 1e-20 / ((x - 0.3) ** 2 + 1e-20), np.array([[0.0, 1.0]]))
 
 
 class TestSampler:
@@ -326,6 +334,18 @@ class TestSampler:
             0, 14, 0, 14)
         assert sm.mean() == pytest.approx(mean, rel=5e-3)
         assert sp.mean() == pytest.approx(mean, rel=5e-3)
+
+    def test_joint_law_chi_square(self):
+        # 2-D chi-square of 1e6 draws at a = 1 against J's cell masses; a
+        # uniform angle or a Gamma(2) radius both give chi-square > 1e5.
+        size = 1_000_000
+        sm, sp = sample_joint_gaps(UNIT, size, seed=17)
+        edges = np.linspace(0.0, 3.5, 11)
+        counts, _, _ = np.histogram2d(sm, sp, bins=[edges, edges])
+        expected = size * _joint_cell_masses(edges, UNIT.p, UNIT.rho)
+        cells = expected >= 5.0
+        chi2 = float(((counts[cells] - expected[cells]) ** 2 / expected[cells]).sum())
+        assert chi2 < stats.chi2.ppf(0.999, int(cells.sum()))
 
     def test_pushforward_matches_cumulative(self):
         # KS between Monte-Carlo h draws and the quadrature CDF
