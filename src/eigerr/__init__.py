@@ -7,7 +7,6 @@ them at desk scale.
 """
 
 from .estimators import (
-    BootstrapConfig,
     BootstrapResult,
     aligned_residual,
     bootstrap_error,

@@ -10,6 +10,10 @@ Two predictors for the expected scaled error n * E||u_i - u_tilde_i||^2:
 ``bootstrap_error`` checks either against Monte-Carlo draws from the scaled
 Wishart distribution, and ``sample_size_bound`` encodes the n >= h/2 validity
 threshold implied by the residual cap ||u - u_tilde||^2 <= 2.
+
+The predictors and the bootstrap take the population's eigenvalues
+(ascending, as ``eig_sym`` returns them), never its matrix: the bootstrap
+draws each replicate in C's eigenbasis, so it needs no eigenvectors either.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .wishart import child_seed, eigenvalue_root, sample_wishart_scaled
 from .wishart import sqrt_psd  # noqa: F401
 
 __all__ = [
-    "BootstrapConfig",
     "BootstrapResult",
     "h_exact",
     "h_exact_all",
@@ -36,21 +39,6 @@ __all__ = [
     "sample_size_bound",
     "regime_violation",
 ]
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    """Monte-Carlo setup: R replicates of a scaled Wishart draw at size n."""
-
-    R: int
-    n: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.R < 1:
-            raise ValueError("need at least one replicate")
-        if self.n < 1:
-            raise ValueError("sample count n must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,8 +53,6 @@ class BootstrapResult:
     n_mean: np.ndarray
     n_std: np.ndarray
     crossing_count: np.ndarray
-    R: int
-    n: int
 
 
 def h_exact(eigenvalues, i):
@@ -95,8 +81,7 @@ def h_exact_all(eigenvalues, chunk=512):
         stop = min(start + chunk, p)
         lam = ev[start:stop, None]
         diff = lam - ev[None, :]
-        for row in range(start, stop):
-            diff[row - start, row] = np.inf
+        diff[np.arange(stop - start), np.arange(start, stop)] = np.inf
         if np.any(diff == 0):
             raise ValueError("tied eigenvalues: h is undefined")
         out[start:stop] = np.sum(lam * ev[None, :] / diff ** 2, axis=1)
@@ -159,29 +144,39 @@ def replicate_residuals(root, n, seed):
     return residuals, crossing
 
 
-def bootstrap_error(c, cfg):
+def bootstrap_error(eigenvalues, R, n, seed=0):
     """Monte-Carlo estimate of n * E||u_i - u_tilde_i||^2 per index.
 
-    Draws R scaled Wishart replicates around ``c`` in its eigenbasis (child
-    seeds keyed by replicate, so each replicate is reproducible in
-    isolation), pairs sample eigenvectors with population ones in
-    sorted-index order, and accumulates sign-aligned residuals in replicate
-    order; see ``replicate_residuals``. Only ``c.eigenvalues`` is read.
+    ``eigenvalues`` is the ascending spectrum of the population matrix C.
+    Draws R scaled Wishart replicates at sample size n around C in its
+    eigenbasis (child seeds of ``seed`` keyed by replicate, so each
+    replicate is reproducible in isolation), pairs sample eigenvectors with
+    population ones in sorted-index order, and accumulates sign-aligned
+    residuals in replicate order; see ``replicate_residuals``. A matrix or
+    an unsorted spectrum raises ``ValueError``.
     """
-    p = c.matrix.shape[0]
-    if cfg.n < p:
-        raise ValueError(f"need n >= p, got n={cfg.n}, p={p}")
-    root = eigenvalue_root(c.eigenvalues)
-    scaled = np.empty((cfg.R, p))
+    ev = np.asarray(eigenvalues, dtype=float)
+    if ev.ndim != 1:
+        raise ValueError(f"need a 1-D spectrum, got an array of shape {ev.shape}")
+    if not np.all(np.diff(ev) >= 0):  # False for NaN too
+        raise ValueError("eigenvalues must be ascending")
+    if R < 1:
+        raise ValueError("need at least one replicate")
+    if n < 1:
+        raise ValueError("sample count n must be positive")
+    p = ev.size
+    if n < p:
+        raise ValueError(f"need n >= p, got n={n}, p={p}")
+    root = eigenvalue_root(ev)
+    scaled = np.empty((R, p))
     crossings = np.zeros(p, dtype=np.int64)
-    for r in range(cfg.R):
-        residuals, crossing = replicate_residuals(root, cfg.n, child_seed(cfg.seed, r))
-        scaled[r] = cfg.n * residuals
+    for r in range(R):
+        residuals, crossing = replicate_residuals(root, n, child_seed(seed, r))
+        scaled[r] = n * residuals
         crossings += crossing
     n_mean = scaled.mean(axis=0)
-    n_std = scaled.std(axis=0, ddof=1) if cfg.R > 1 else np.zeros(p)
-    return BootstrapResult(n_mean=n_mean, n_std=n_std, crossing_count=crossings,
-                           R=cfg.R, n=cfg.n)
+    n_std = scaled.std(axis=0, ddof=1) if R > 1 else np.zeros(p)
+    return BootstrapResult(n_mean=n_mean, n_std=n_std, crossing_count=crossings)
 
 
 def sample_size_bound(h):

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
-    BootstrapConfig,
     bootstrap_error,
     h_exact_all,
     h_hat,
@@ -51,14 +50,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
 
 
-def _sample_count(value):
-    # 1e3 is 1000, but 1000.5 is not a sample count: refuse it, never round it.
+def _integral(name, value):
+    # 1e3 is 1000, but 1000.5 is not a count: refuse it, never round it.
     try:
         if value == int(value):
             return int(value)
     except (OverflowError, TypeError, ValueError):  # inf, None, nan
         pass
-    raise ConfigError(f"n must be integral, not {value!r}")
+    raise ConfigError(f"{name} must be integral, not {value!r}")
 
 
 @dataclass
@@ -80,7 +79,10 @@ class ExperimentConfig:
         # A string is iterable too: "100" would become n=(1, 0, 0).
         if isinstance(self.n, (str, bytes)):
             raise ConfigError(f"n must be an integer or a sequence of integers, not {self.n!r}")
-        self.n = tuple(map(_sample_count, self.n if hasattr(self.n, "__iter__") else (self.n,)))
+        self.n = tuple(_integral("n", v)
+                       for v in (self.n if hasattr(self.n, "__iter__") else (self.n,)))
+        for name in ("p", "k", "R", "M", "seed", "threads"):
+            setattr(self, name, _integral(name, getattr(self, name)))
         self.out = Path(self.out)
 
     def check(self):
@@ -95,8 +97,10 @@ class ExperimentConfig:
             problems.append("every n must satisfy n >= p")
         if self.R < 1 or self.M < 1:
             problems.append("R and M must be >= 1")
-        if self.delta <= 0:
-            problems.append("delta must be positive")
+        if not np.isfinite(self.lambda0):
+            problems.append("lambda0 must be finite")
+        if not 0 < self.delta < np.inf:  # False for NaN too
+            problems.append("delta must be positive and finite")
         if self.threads < 1:
             problems.append("threads must be >= 1")
         if problems:
@@ -118,21 +122,22 @@ def _map_indexed(fn, count, threads):
 
 
 def _sample_ensemble(config, count=None):
+    # (count, p) Laplacian spectra, one row per graph, and the graphs'
+    # connectivity. Each dense Laplacian is dropped once its eigensolve is
+    # done: every runner needs only eigenvalues.
     count = config.M if count is None else count
 
     def build(m):
         g = sample_regular_graph(config.p, config.k, child_seed(config.seed, 0, m))
-        return laplacian(g), is_connected(g)
+        return laplacian(g).eigenvalues, is_connected(g)
 
-    results = _map_indexed(build, count, config.threads)
-    mats = [r[0] for r in results]
-    connected = [r[1] for r in results]
-    return mats, connected
+    spectra, connected = zip(*_map_indexed(build, count, config.threads))
+    return np.array(spectra), connected
 
 
-def _ensemble_density(mats):
+def _ensemble_density(spectra):
     # Laplacian spectra minus the zero (Perron) eigenvalue each matrix carries.
-    return estimate_density([m.eigenvalues[1:] for m in mats])
+    return estimate_density(spectra[:, 1:])
 
 
 def _concat(records):
@@ -140,8 +145,8 @@ def _concat(records):
     return GapRecords(*map(np.concatenate, zip(*records)))
 
 
-def _pool_gap_records(mats, lambda0, delta):
-    return _concat([extract_gap_records(m.eigenvalues, lambda0, delta) for m in mats])
+def _pool_gap_records(spectra, lambda0, delta):
+    return _concat([extract_gap_records(ev, lambda0, delta) for ev in spectra])
 
 
 ESTIMATE_COLUMNS = ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
@@ -176,8 +181,8 @@ def _write_json(path, payload):
 
 
 def _run_density(config, out):
-    mats, connected = _sample_ensemble(config)
-    density = _ensemble_density(mats)
+    spectra, connected = _sample_ensemble(config)
+    density = _ensemble_density(spectra)
     grid = density.grid
     mckay = SpectralDensity.mckay(config.k)
     _write_csv(out / "density.csv", ["lambda", "rho_empirical", "rho_mckay"],
@@ -191,8 +196,8 @@ def _run_density(config, out):
 
 
 def _run_spacing(config, out):
-    mats, _ = _sample_ensemble(config)
-    records = _pool_gap_records(mats, config.lambda0, config.delta)
+    spectra, _ = _sample_ensemble(config)
+    records = _pool_gap_records(spectra, config.lambda0, config.delta)
     if not records.index.size:
         raise RuntimeError("no eigenvalues found in the spacing window")
     _write_csv(out / "gaps.csv", ["index", "lambda", "s_minus", "s_plus"], zip(*records))
@@ -219,8 +224,8 @@ def _run_spacing(config, out):
 
 
 def _run_joint_gaps(config, out):
-    mats, _ = _sample_ensemble(config)
-    records = _pool_gap_records(mats, config.lambda0, config.delta)
+    spectra, _ = _sample_ensemble(config)
+    records = _pool_gap_records(spectra, config.lambda0, config.delta)
     count = records.index.size
     if not count:
         raise RuntimeError("no eigenvalues found in the gap window")
@@ -243,26 +248,19 @@ def _run_joint_gaps(config, out):
 
 
 def _joint_cell_masses(edges, p, rho, refine=6):
-    # Cell probabilities of J by midpoint refinement inside each cell.
+    # Cell probabilities of J by midpoint refinement inside each cell: the
+    # pdf on an (nb, nb, refine, refine) grid of cell-by-cell midpoints.
     nb = len(edges) - 1
-    out = np.empty((nb, nb))
-    for i in range(nb):
-        xs = np.linspace(edges[i], edges[i + 1], refine + 1)
-        xm = 0.5 * (xs[:-1] + xs[1:])
-        dx = xs[1] - xs[0]
-        for j in range(nb):
-            ys = np.linspace(edges[j], edges[j + 1], refine + 1)
-            ym = 0.5 * (ys[:-1] + ys[1:])
-            dy = ys[1] - ys[0]
-            gx, gy = np.meshgrid(xm, ym, indexing="ij")
-            out[i, j] = joint_gap_pdf(gx, gy, p, rho).sum() * dx * dy
-    return out
+    xs = np.linspace(edges[:-1], edges[1:], refine + 1, axis=1)
+    mid = 0.5 * (xs[:, :-1] + xs[:, 1:])
+    dx = xs[:, 1] - xs[:, 0]
+    pdf = joint_gap_pdf(mid[:, None, :, None], mid[None, :, None, :], p, rho)
+    return pdf.reshape(nb, nb, -1).sum(axis=-1) * dx[:, None] * dx[None, :]
 
 
-def _bulk_estimate_columns(mat, density, n):
-    # ESTIMATE_COLUMNS for every interior index (two-sided gaps); the
-    # bootstrap columns are left empty.
-    ev = mat.eigenvalues
+def _bulk_estimate_columns(ev, density, n):
+    # ESTIMATE_COLUMNS for every interior index (two-sided gaps) of one
+    # spectrum; the bootstrap columns are left empty.
     gaps = extract_gap_records(ev, 0.0, np.inf)
     hx = h_exact_all(ev)[gaps.index - 1]
     rho = density(gaps.lam)
@@ -285,9 +283,9 @@ def _write_estimates(path, columns):
 
 
 def _run_hhat_vs_h(config, out):
-    mats, _ = _sample_ensemble(config)
-    density = _ensemble_density(mats)
-    cols = _bulk_estimate_columns(mats[0], density, config.n[0])
+    spectra, _ = _sample_ensemble(config)
+    density = _ensemble_density(spectra)
+    cols = _bulk_estimate_columns(spectra[0], density, config.n[0])
     _write_estimates(out / "estimates.csv", cols)
     hx, hh, hh0 = cols["h_exact"], cols["h_hat"], cols["h_hat_uncorrected"]
     log_corr = float(np.corrcoef(np.log(hx), np.log(hh))[0, 1])
@@ -301,14 +299,17 @@ def _run_hhat_vs_h(config, out):
     return ["estimates.csv", "stats.json"]
 
 
+def _bootstrap(config, ev, m):
+    # Matrix m's replicates draw from its own child seed.
+    return bootstrap_error(ev, config.R, config.n[0],
+                           seed=int(child_seed(config.seed, 1, m).generate_state(1)[0]))
+
+
 def _run_bootstrap_vs_hhat(config, out):
-    mats, _ = _sample_ensemble(config)
-    density = _ensemble_density(mats)
-    mat = mats[0]
-    n = config.n[0]
-    result = bootstrap_error(mat, BootstrapConfig(R=config.R, n=n, seed=int(
-        child_seed(config.seed, 1, 0).generate_state(1)[0])))
-    cols = _bulk_estimate_columns(mat, density, n)
+    spectra, _ = _sample_ensemble(config)
+    density = _ensemble_density(spectra)
+    result = _bootstrap(config, spectra[0], 0)
+    cols = _bulk_estimate_columns(spectra[0], density, config.n[0])
     i = cols["index"] - 1
     cols["n_mean_error"], cols["n_std_error"] = result.n_mean[i], result.n_std[i]
     _write_estimates(out / "estimates.csv", cols)
@@ -327,9 +328,13 @@ def _fh_grid(params, n_points=60):
     return np.geomspace(h_typ / 100.0, h_typ * 1000.0, n_points)
 
 
+def _write_fh_table(path, grid, params):
+    _write_csv(path, HDENSITY_COLUMNS, zip(grid, f_H(grid, params), F_H(grid, params)))
+
+
 def _run_fh_density(config, out):
-    mats, _ = _sample_ensemble(config)
-    density = _ensemble_density(mats)
+    spectra, _ = _sample_ensemble(config)
+    density = _ensemble_density(spectra)
     rho0 = float(density(config.lambda0))
     if rho0 <= 0:
         raise RuntimeError(
@@ -337,44 +342,33 @@ def _run_fh_density(config, out):
             "choose a window inside the bulk")
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
 
-    records = [extract_gap_records(mat.eigenvalues, config.lambda0, config.delta)
-               for mat in mats]
+    records = [extract_gap_records(ev, config.lambda0, config.delta) for ev in spectra]
     pooled = _concat(records)
     if not pooled.index.size:
         raise RuntimeError("no eigenvalues found in the window")
-    matrix = np.repeat(np.arange(len(mats)), [r.index.size for r in records])
+    matrix = np.repeat(np.arange(len(spectra)), [r.index.size for r in records])
+    # Picks each pooled record's value out of a stacked (M, p) per-index array.
+    at = (matrix, pooled.index - 1)
 
-    def at_window(per_matrix):
-        # Each matrix's per-index values at its own window indices, pooled.
-        return np.concatenate([v[r.index - 1] for v, r in zip(per_matrix, records)])
-
-    h_emp = at_window(h_exact_all(mat.eigenvalues) for mat in mats)
+    h_emp = np.array([h_exact_all(ev) for ev in spectra])[at]
     hh = h_hat(pooled.lam, pooled.s_minus, pooled.s_plus, config.p, density(pooled.lam))
     _write_csv(out / "h_empirical.csv", ["matrix", "index", "lambda", "h_exact", "h_hat"],
                zip(matrix, pooled.index, pooled.lam, h_emp, hh))
 
-    n = config.n[0]
-
-    def boot(m):
-        cfg = BootstrapConfig(R=config.R, n=n, seed=int(
-            child_seed(config.seed, 1, m).generate_state(1)[0]))
-        return bootstrap_error(mats[m], cfg)
-
-    boots = _map_indexed(boot, len(mats), config.threads)
+    boots = _map_indexed(lambda m: _bootstrap(config, spectra[m], m), len(spectra),
+                         config.threads)
     _write_csv(out / "bootstrap.csv", ["matrix", "index", "lambda", "n_mean_error", "n_std_error"],
                zip(matrix, pooled.index, pooled.lam,
-                   at_window(b.n_mean for b in boots), at_window(b.n_std for b in boots)))
+                   np.array([b.n_mean for b in boots])[at],
+                   np.array([b.n_std for b in boots])[at]))
 
-    grid = _fh_grid(params)
-    fh = f_H(grid, params)
-    cdf = F_H(grid, params)
-    _write_csv(out / "fh.csv", HDENSITY_COLUMNS, zip(grid, fh, cdf))
+    _write_fh_table(out / "fh.csv", _fh_grid(params), params)
 
     _write_json(out / "stats.json", {
         "rho_at_lambda0": rho0,
         "window_count": h_emp.size,
         "median_h_empirical": float(np.median(h_emp)),
-        "regime_violation_fraction": float(np.mean(regime_violation(n, h_emp))),
+        "regime_violation_fraction": float(np.mean(regime_violation(config.n[0], h_emp))),
     })
     return ["h_empirical.csv", "bootstrap.csv", "fh.csv", "stats.json"]
 
@@ -390,17 +384,13 @@ def _run_tail(config, out):
         "window": list(report.window),
         "plateau_spread": report.plateau_ratio_spread,
     })
-    grid = np.geomspace(report.window[0], report.window[1], 25)
-    fh = f_H(grid, params)
-    cdf = F_H(grid, params)
-    _write_csv(out / "fh_tail.csv", HDENSITY_COLUMNS, zip(grid, fh, cdf))
+    _write_fh_table(out / "fh_tail.csv", np.geomspace(*report.window, 25), params)
     return ["tail.json", "fh_tail.csv"]
 
 
 def _run_bound_scatter(config, out):
-    mats, _ = _sample_ensemble(config, count=1)
-    mat = mats[0]
-    ev = mat.eigenvalues
+    spectra, _ = _sample_ensemble(config, count=1)
+    ev = spectra[0]
     hx = h_exact_all(ev)
     index = np.arange(1, ev.size + 1)
     root = eigenvalue_root(ev)
@@ -471,11 +461,11 @@ def validate(config):
     """
     config.check()
     pilot_count = min(config.M, 5)
-    mats, _ = _sample_ensemble(config, count=pilot_count)
-    density = _ensemble_density(mats)
+    spectra, _ = _sample_ensemble(config, count=pilot_count)
+    density = _ensemble_density(spectra)
     warnings = []
 
-    records = _pool_gap_records(mats, config.lambda0, config.delta)
+    records = _pool_gap_records(spectra, config.lambda0, config.delta)
     pilot_h = None
     if records.index.size:
         rho0 = float(density(config.lambda0))
@@ -494,7 +484,7 @@ def validate(config):
 
     rates = {}
     for label, d in (("half", config.delta / 2), ("base", config.delta), ("double", config.delta * 2)):
-        pooled = records if label == "base" else _pool_gap_records(mats, config.lambda0, d)
+        pooled = records if label == "base" else _pool_gap_records(spectra, config.lambda0, d)
         rates[label] = pooled.index.size / (2.0 * d * pilot_count)
     if rates["base"] > 0:
         for label in ("half", "double"):

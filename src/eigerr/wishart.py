@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import PopulationMatrix
 from .spectral import eig_sym
 
 __all__ = [
@@ -50,12 +49,11 @@ def eigenvalue_root(w):
 
 
 def sqrt_psd(c):
-    """Symmetric PSD square root U diag(sqrt(lambda)) U^T.
+    """Symmetric PSD square root U diag(sqrt(lambda)) U^T of the array ``c``.
 
-    ``c`` is an array or a ``PopulationMatrix``; eigenvalues are clamped or
-    rejected as in ``eigenvalue_root``.
+    Eigenvalues are clamped or rejected as in ``eigenvalue_root``.
     """
-    w, v = eig_sym(c.matrix if isinstance(c, PopulationMatrix) else c)
+    w, v = eig_sym(c)
     root = (v * eigenvalue_root(w)) @ v.T
     return (root + root.T) / 2.0
 

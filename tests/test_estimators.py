@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eigerr import (
-    BootstrapConfig,
     aligned_residual,
     bootstrap_error,
     h_exact,
@@ -137,10 +136,9 @@ class TestBootstrap:
         # well-separated spectrum, huge n: the asymptotic law is tight
         ev = np.array([1.0, 2.0, 3.5, 5.5, 8.0, 11.0])
         c = population_matrix(np.diag(ev))
-        cfg = BootstrapConfig(R=50, n=10 ** 6, seed=31)
-        res = bootstrap_error(c, cfg)
+        res = bootstrap_error(c.eigenvalues, R=50, n=10 ** 6, seed=31)
         hx = h_exact_all(ev)
-        se = res.n_std / np.sqrt(cfg.R)
+        se = res.n_std / np.sqrt(50)
         assert (np.abs(res.n_mean - hx) <= 3.0 * se).all()
 
     def test_single_replicate_is_identity(self):
@@ -150,11 +148,10 @@ class TestBootstrap:
         from eigerr.wishart import child_seed, sample_wishart_scaled, sqrt_psd
 
         c = population_matrix(np.diag([1.0, 2.0, 4.0]))
-        cfg = BootstrapConfig(R=1, n=100, seed=5)
-        res = bootstrap_error(c, cfg)
+        res = bootstrap_error(c.eigenvalues, R=1, n=100, seed=5)
         assert (res.n_std == 0).all()
 
-        draw = sample_wishart_scaled(sqrt_psd(c), 100, child_seed(5, 0))
+        draw = sample_wishart_scaled(sqrt_psd(c.matrix), 100, child_seed(5, 0))
         _, v_tilde = eig_sym(draw)
         manual = [100 * aligned_residual(c.eigenvectors[:, i], v_tilde[:, i])
                   for i in range(3)]
@@ -164,25 +161,33 @@ class TestBootstrap:
         # doubling n leaves n * mean residual statistically unchanged
         ev = np.array([1.0, 2.0, 3.5, 5.5, 8.0])
         c = population_matrix(np.diag(ev))
-        a = bootstrap_error(c, BootstrapConfig(R=60, n=10 ** 6, seed=8))
-        b = bootstrap_error(c, BootstrapConfig(R=60, n=2 * 10 ** 6, seed=9))
+        a = bootstrap_error(c.eigenvalues, R=60, n=10 ** 6, seed=8)
+        b = bootstrap_error(c.eigenvalues, R=60, n=2 * 10 ** 6, seed=9)
         se = np.sqrt(a.n_std ** 2 + b.n_std ** 2) / np.sqrt(60)
         assert (np.abs(a.n_mean - b.n_mean) <= 4.0 * se).all()
 
     def test_residual_cap(self):
         c = population_matrix(np.diag([1.0, 1.01, 1.02, 1.03]))
-        cfg = BootstrapConfig(R=20, n=10, seed=2)
-        res = bootstrap_error(c, cfg)
-        assert (res.n_mean <= 2.0 * cfg.n).all()
+        res = bootstrap_error(c.eigenvalues, R=20, n=10, seed=2)
+        assert (res.n_mean <= 2.0 * 10).all()
 
     def test_n_below_p_rejected(self):
         c = population_matrix(np.eye(5))
         with pytest.raises(ValueError):
-            bootstrap_error(c, BootstrapConfig(R=2, n=3, seed=0))
+            bootstrap_error(c.eigenvalues, R=2, n=3, seed=0)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            BootstrapConfig(R=0, n=10)
+            bootstrap_error(np.array([1.0, 2.0]), R=0, n=10)
+
+    def test_matrix_or_unsorted_spectrum_rejected(self):
+        # The bootstrap reads only C's ascending spectrum; a matrix or a
+        # reversed spectrum must not run as if it were one.
+        c = population_matrix(np.diag([1.0, 2.0, 4.0]))
+        with pytest.raises(ValueError, match="1-D"):
+            bootstrap_error(c.matrix, R=2, n=100)
+        with pytest.raises(ValueError, match="ascending"):
+            bootstrap_error(c.eigenvalues[::-1], R=2, n=100)
 
 
 def _rotated(ev, seed):
@@ -234,10 +239,9 @@ class TestEigenbasisBootstrap:
     def test_nondiagonal_matches_h_exact(self):
         ev = np.array([1.0, 2.0, 3.5, 5.5, 8.0, 11.0])
         c = _rotated(ev, seed=3)
-        cfg = BootstrapConfig(R=50, n=10 ** 6, seed=31)
-        res = bootstrap_error(c, cfg)
+        res = bootstrap_error(c.eigenvalues, R=50, n=10 ** 6, seed=31)
         hx = h_exact_all(ev)
-        se = res.n_std / np.sqrt(cfg.R)
+        se = res.n_std / np.sqrt(50)
         assert (np.abs(res.n_mean - hx) <= 3.0 * se).all()
 
 
@@ -258,7 +262,7 @@ class TestEigenvaluesOnly:
 
         c = laplacian(sample_regular_graph(60, 6, seed=4))
         self._check(c)
-        bootstrap_error(c, BootstrapConfig(R=2, n=1000, seed=1))
+        bootstrap_error(c.eigenvalues, R=2, n=1000, seed=1)
         self._check(c)
 
     def test_bound_scatter(self, tmp_path, monkeypatch):

@@ -41,12 +41,18 @@ class TestConfig:
             ExperimentConfig(p=100, k=4, n=(50,)).check()
 
     def test_bad_delta(self):
-        with pytest.raises(ConfigError, match="delta"):
-            ExperimentConfig(p=10, k=2, n=(100,), delta=0.0).check()
+        for delta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="delta"):
+                ExperimentConfig(p=10, k=2, n=(100,), delta=delta).check()
+        for lambda0 in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="lambda0 must be finite"):
+                ExperimentConfig(p=10, k=2, n=(100,), lambda0=lambda0).check()
 
     def test_scalar_n_normalized(self):
         cfg = ExperimentConfig(p=10, k=2, n=1000)
         assert cfg.n == (1000,)
+        cfg = ExperimentConfig(p=10.0, k=2, n=1000)
+        assert cfg.p == 10 and type(cfg.p) is int
 
     @pytest.mark.parametrize("raw", ["100", "1e7", b"100"], ids=["int", "float", "bytes"])
     def test_string_n_rejected(self, raw):
@@ -54,12 +60,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^n must be"):
             ExperimentConfig(p=10, k=2, n=raw)
 
-    @pytest.mark.parametrize("raw", [1000.7, (1000, 2500.5), float("inf"), float("nan")],
-                             ids=["scalar", "in-list", "inf", "nan"])
-    def test_non_integral_n_rejected(self, raw):
-        # never truncated: n=1000.7 must not run as n=1000
-        with pytest.raises(ConfigError, match="^n must be integral"):
-            ExperimentConfig(p=10, k=2, n=raw)
+    @pytest.mark.parametrize("name, raw", [
+        ("n", 1000.7), ("n", (1000, 2500.5)), ("n", float("inf")), ("n", float("nan")),
+        ("p", 10.5), ("k", 2.5), ("R", 1.5), ("M", 2.5), ("seed", 0.5), ("threads", 1.5),
+    ], ids=["scalar", "in-list", "inf", "nan", "p", "k", "R", "M", "seed", "threads"])
+    def test_non_integral_n_rejected(self, name, raw):
+        # never truncated: n=1000.7 must not run as n=1000, nor p=10.5 as 10
+        with pytest.raises(ConfigError, match=f"^{name} must be integral"):
+            ExperimentConfig(**{"p": 10, "k": 2, name: raw})
 
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown experiment"):
@@ -292,6 +300,14 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+        # A non-finite window is refused before any file is written.
+        for flag, value in (("--lambda0", "nan"), ("--delta", "nan"), ("--delta", "inf")):
+            out = tmp_path / f"{flag[2:]}-{value}"
+            code = main(["run", "hhat-vs-h", "--p", "60", "--k", "4", "--M", "2",
+                         "--n", "1e3", flag, value, "--out", str(out)])
+            assert code == 1
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_non_integral_n_exit_one(self, tmp_path, capsys):
         code = main(["run", "density", "--p", "60", "--k", "4", "--n", "1000.5",

@@ -17,7 +17,7 @@ class TestSqrtPsd:
 
     def test_k4_laplacian_reconstruction(self):
         c = laplacian(sample_regular_graph(4, 3, seed=0))
-        root = sqrt_psd(c)
+        root = sqrt_psd(c.matrix)
         norm = np.abs(c.eigenvalues).max()
         assert np.abs(root @ root - c.matrix).max() <= 1e-8 * norm
 
@@ -91,14 +91,14 @@ class TestBartlettSampling:
     def test_concentration_large_n(self):
         g = sample_regular_graph(5, 2, seed=1)
         c = laplacian(g)
-        root = sqrt_psd(c)
+        root = sqrt_psd(c.matrix)
         draw = sample_wishart_scaled(root, 10 ** 8, seed=77)
         rel = np.linalg.norm(draw - c.matrix) / np.linalg.norm(c.matrix)
         assert rel <= 1e-3
 
     def test_psd_every_draw(self):
         c = laplacian(sample_regular_graph(12, 3, seed=6))
-        root = sqrt_psd(c)
+        root = sqrt_psd(c.matrix)
         for r in range(50):
             draw = sample_wishart_scaled(root, 20, child_seed(91, r))
             w = np.linalg.eigvalsh(draw)
@@ -108,7 +108,7 @@ class TestBartlettSampling:
     def test_laplacian_kernel_preserved(self):
         # C^(1/2) annihilates the constant vector, so every draw does too
         c = laplacian(sample_regular_graph(30, 4, seed=8))
-        root = sqrt_psd(c)
+        root = sqrt_psd(c.matrix)
         ones = np.ones(30)
         for r in range(10):
             draw = sample_wishart_scaled(root, 64, child_seed(15, r))
@@ -119,7 +119,7 @@ class TestBartlettSampling:
     def test_unbiased_mean_small(self):
         # elementwise Monte-Carlo mean against the population matrix
         c = laplacian(sample_regular_graph(6, 3, seed=13))
-        root = sqrt_psd(c)
+        root = sqrt_psd(c.matrix)
         reps, n = 4000, 12
         draws = np.empty((reps, 6, 6))
         for r in range(reps):
