@@ -20,6 +20,7 @@ from .estimators import (
 from .graphs import (
     PopulationMatrix,
     RegularGraph,
+    component_count,
     is_connected,
     laplacian,
     population_matrix,

@@ -38,7 +38,7 @@ _FLAGS = {
     "delta": (float, "window half-width"),
     "seed": (int, "master RNG seed"),
     "out": (str, "output directory"),
-    "threads": (int, "worker threads for matrix/replicate parallelism"),
+    "threads": (int, "worker threads, one matrix per task (replicates run serially)"),
 }
 
 

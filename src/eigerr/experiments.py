@@ -89,8 +89,10 @@ class ExperimentConfig:
         problems = []
         if self.p < 2:
             problems.append("p must be >= 2")
-        if not 1 <= self.k < self.p:
-            problems.append("need p > k >= 1")
+        # k = 1 is a perfect matching, whose spectrum is only 0s and 2s: it has
+        # no simple spectrum and no McKay law.
+        if not 2 <= self.k < self.p:
+            problems.append("need p > k >= 2")
         if (self.p * self.k) % 2 != 0:
             problems.append("p*k must be even")
         if not self.n or any(v < self.p for v in self.n):

@@ -1,4 +1,5 @@
-"""Random k-regular graphs via the configuration model and their Laplacians.
+"""Random k-regular graphs via the configuration model, their Laplacians and
+their connected components, all in numpy.
 
 The Laplacian C = D - A of a sampled graph serves as a population covariance
 matrix: symmetric, positive semi-definite, sparse in structure, and with
@@ -11,8 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 from .spectral import eig_sym
 
@@ -24,6 +23,7 @@ __all__ = [
     "incidence_matrix",
     "laplacian",
     "population_matrix",
+    "component_count",
     "is_connected",
 ]
 
@@ -150,12 +150,31 @@ def population_matrix(matrix):
                             eigenvalues=eig_sym(matrix, eigvals_only=True))
 
 
+def component_count(g):
+    """Number of connected components, isolated vertices included.
+
+    Min-label propagation with pointer jumping on the edge array. Every label
+    is a vertex of its own component and starts as the vertex itself. Each
+    round hooks the label on one end of every edge to the smaller label on
+    the other end, then jumps every label to its label's label until nothing
+    moves. At the fixed point the two ends of every edge share a label, and
+    each component is labelled by its smallest vertex.
+    """
+    labels = np.arange(g.p)
+    u, v = g.edges.T
+    while True:
+        lu, lv = labels[u], labels[v]
+        if np.array_equal(lu, lv):
+            return int(np.count_nonzero(labels == np.arange(g.p)))
+        np.minimum.at(labels, np.r_[lu, lv], np.r_[lv, lu])
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+
+
 def is_connected(g):
-    """Whether the graph has one connected component (scipy's csgraph).
+    """Whether the graph has one connected component (``component_count``).
 
     Disconnected samples are kept but flagged; a graph without vertices
     counts as connected.
     """
-    u, v = g.edges.T
-    adjacency = coo_array((np.ones(u.size), (u, v)), shape=(g.p, g.p))
-    return connected_components(adjacency, directed=False)[0] <= 1
+    return component_count(g) <= 1

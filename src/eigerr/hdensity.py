@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx
 
 from .estimators import h_hat
 from .spectral import gauss_rate, joint_gap_pdf
@@ -204,17 +203,23 @@ def f_H(h, params):
     return _half_arc_rule(h, params, integrand)
 
 
+def _erfc(z):
+    # The C library's erfc, mapped over the array z.
+    return np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+
+
 def _upper_mass(lo, x, params):
     # int_lo^inf J(y, x) dy, J = c x y (x + y) e^(-b (x^2 + y^2 + x y)): with
-    # t = y + x/2 the exponent is -b (t^2 + 3 x^2 / 4) and y (y + x) = t^2 - x^2 / 4;
-    # erfc is written as erfcx times its Gaussian, which joins J's.
+    # t = y + x/2 the exponent is -b (t^2 + 3 x^2 / 4) and y (y + x) = t^2 - x^2 / 4,
+    # so I = c x [t0/(2b) e^(-b t0^2) + (1/(2b) - x^2/4) sqrt(pi/b)/2 erfc(sqrt(b) t0)]
+    # e^(-3 b x^2 / 4) with t0 = lo + x/2.
     a = params.a
     c = 2187.0 * a ** 5 / (32.0 * math.pi ** 3)  # 3^7 = 2187
     b = gauss_rate(a)
     t0 = lo + 0.5 * x
-    tail = t0 / (2.0 * b) + (0.5 / b - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / b) \
-        * erfcx(math.sqrt(b) * t0)
-    return c * x * tail * np.exp(-b * (lo * lo + lo * x + x * x))
+    tail = t0 / (2.0 * b) * np.exp(-b * t0 * t0) \
+        + (0.5 / b - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / b) * _erfc(math.sqrt(b) * t0)
+    return c * x * tail * np.exp(-0.75 * b * x * x)
 
 
 def F_H(h, params):

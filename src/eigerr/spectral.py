@@ -187,13 +187,13 @@ def extract_gap_records(eigenvalues, lambda0, delta):
     Only indices with both a left and a right neighbor qualify (2 <= i <= p-1,
     1-based); ``extract_gap_records(ev, 0.0, np.inf)`` gives all of them.
     Raises on tied eigenvalues, which break the simple-spectrum assumption
-    behind every gap statistic here.
+    behind every gap statistic here, and on a descending step or a NaN.
     """
     ev = np.asarray(eigenvalues, dtype=float).ravel()
     if delta <= 0:
         raise ValueError("delta must be positive")
     diffs = np.diff(ev)
-    if np.any(diffs < 0):
+    if not np.all(diffs >= 0):  # False for NaN too
         raise ValueError("eigenvalues must be ascending")
     if np.any(diffs == 0):
         raise ValueError("tied eigenvalues: spectrum is not simple")

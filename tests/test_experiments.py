@@ -36,6 +36,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="even"):
             ExperimentConfig(p=5, k=3).check()
 
+    def test_k_below_two(self):
+        # A 1-regular graph has only the eigenvalues 0 and 2: every runner fails.
+        for k in (1, 0, -2):
+            with pytest.raises(ConfigError, match="need p > k >= 2"):
+                ExperimentConfig(p=20, k=k, n=(1000,)).check()
+        ExperimentConfig(p=20, k=2, n=(1000,)).check()
+
     def test_n_below_p(self):
         with pytest.raises(ConfigError, match="n >= p"):
             ExperimentConfig(p=100, k=4, n=(50,)).check()
@@ -307,6 +314,14 @@ class TestCli:
                          "--n", "1e3", flag, value, "--out", str(out)])
             assert code == 1
             assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+        # k = 1 is refused before the output directory is made.
+        for experiment in ("density", "tail", "spacing", "bound-scatter"):
+            out = tmp_path / f"k1-{experiment}"
+            code = main(["run", experiment, "--p", "20", "--k", "1", "--M", "2",
+                         "--n", "1e3", "--lambda0", "1", "--out", str(out)])
+            assert code == 1
+            assert "need p > k >= 2" in capsys.readouterr().err
             assert not out.exists()
 
     def test_non_integral_n_exit_one(self, tmp_path, capsys):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from eigerr import (
     RegularGraph,
+    component_count,
     is_connected,
     laplacian,
     population_matrix,
@@ -150,6 +153,46 @@ class TestSampling:
         assert (degrees(g) == 3).all()
         assert is_connected(g) is False
         assert is_connected(RegularGraph(p=4, k=3, edges=np.array(k4))) is True
+
+
+def _scipy_component_count(g):
+    # The csgraph route component_count replaces, kept as the oracle.
+    u, v = g.edges.T
+    adjacency = coo_array((np.ones(u.size), (u, v)), shape=(g.p, g.p))
+    return connected_components(adjacency, directed=False)[0]
+
+
+class TestComponentCount:
+    @pytest.mark.parametrize("p,k", [(10, 1), (1000, 1), (12, 2), (200, 2), (1000, 2),
+                                     (8, 3), (100, 3), (1000, 3), (50, 4), (1000, 4),
+                                     (21, 20), (1000, 20)])
+    def test_matches_scipy_on_regular_graphs(self, p, k):
+        for seed in range(3):
+            g = sample_regular_graph(p, k, seed)
+            assert component_count(g) == _scipy_component_count(g)
+
+    def test_disjoint_union_of_two_copies(self):
+        for p, k in [(12, 2), (100, 3), (500, 20)]:
+            g = sample_regular_graph(p, k, seed=7)
+            union = RegularGraph(p=2 * p, k=k, edges=np.vstack([g.edges, g.edges + p]))
+            assert component_count(union) == _scipy_component_count(union) \
+                == 2 * component_count(g)
+
+    def test_single_long_cycle(self):
+        # Path-like labels: min-label propagation alone would need p/2 rounds.
+        ring = np.arange(1000)
+        edges = np.sort(np.column_stack([ring, np.roll(ring, -1)]), axis=1)
+        for order in (edges, edges[::-1], edges[np.random.default_rng(0).permutation(1000)]):
+            g = RegularGraph(p=1000, k=2, edges=order)
+            assert component_count(g) == _scipy_component_count(g) == 1
+            assert is_connected(g) is True
+
+    def test_no_edges(self):
+        empty = np.zeros((0, 2), dtype=np.int64)
+        for p in (0, 1, 5):
+            g = RegularGraph(p=p, k=0, edges=empty)
+            assert component_count(g) == _scipy_component_count(g) == p
+            assert is_connected(g) is (p <= 1)
 
 
 class TestLaplacian:

@@ -5,15 +5,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 from scipy.integrate import quad
 
 from eigerr import SpectralDensity, h_hat, joint_gap_pdf
+from eigerr import hdensity
 from eigerr.experiments import _fh_grid, _joint_cell_masses
 from eigerr.hdensity import (
     F_H,
     HDensityParams,
+    _erfc,
     _fixed_rule,
+    _half_arc_rule,
+    _upper_mass,
     ds_star_dh,
     f_H,
     f_H_mass,
@@ -193,6 +197,65 @@ class TestCumulative:
         for target in (8.0, 16.0, 40.0):
             approx = np.interp(target, grid, cum)
             assert F_H(target, UNIT) == pytest.approx(approx, abs=1e-3)
+
+
+def _upper_mass_erfcx(lo, x, params):
+    # The erfcx form of I(lo, x) = int_lo^inf J(y, x) dy that the erfc form
+    # replaces, kept as the oracle; returns the value, |T1| + |T2| (the size of
+    # its two terms before they cancel) and the Gaussian exponent E.
+    a = params.a
+    c = 2187.0 * a ** 5 / (32.0 * math.pi ** 3)
+    b = 9.0 * a * a / (4.0 * math.pi)
+    t0 = lo + 0.5 * x
+    gauss = c * x * np.exp(-b * (lo * lo + lo * x + x * x))
+    t1 = t0 / (2.0 * b) * gauss
+    t2 = (0.5 / b - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / b) \
+        * special.erfcx(math.sqrt(b) * t0) * gauss
+    return t1 + t2, np.abs(t1) + np.abs(t2), b * (lo * lo + lo * x + x * x)
+
+
+def _tail_grid(params):
+    # The h grid of the tail experiment's fh_tail.csv.
+    return np.geomspace(*tail_report(params).window, 25)
+
+
+class TestErfcForm:
+    @pytest.mark.parametrize("params", params_grid())
+    @pytest.mark.parametrize("grid", [_fh_grid, _tail_grid], ids=["fh-density", "tail"])
+    def test_upper_mass_matches_erfcx_form(self, params, grid):
+        # On every (lo, x) node of the half arc: lo = s_star(h, x) and s_eq.
+        nodes = []
+
+        def record(s, s_eq, x):
+            nodes.extend([(s, x), (np.broadcast_to(s_eq, x.shape), x)])
+            return np.ones_like(x)
+
+        _half_arc_rule(grid(params), params, record)
+        assert nodes
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        for lo, x in nodes:
+            oracle, size, expo = _upper_mass_erfcx(lo, x, params)
+            # 1e-13 of the terms' size, plus the rounding both forms carry in an
+            # exponent argument of size E (up to ~746 on the half arc); values
+            # below the smallest normal float keep only a few digits.
+            tol = (1e-13 + 4.0 * eps * expo) * size + tiny
+            assert np.all(np.abs(_upper_mass(lo, x, params) - oracle) <= tol)
+
+    @pytest.mark.parametrize("params", params_grid())
+    @pytest.mark.parametrize("grid", [_fh_grid, _tail_grid], ids=["fh-density", "tail"])
+    def test_cumulative_matches_erfcx_form(self, params, grid, monkeypatch):
+        h = grid(params)
+        value = F_H(h, params)
+        monkeypatch.setattr(hdensity, "_upper_mass", lambda lo, x, q: _upper_mass_erfcx(lo, x, q)[0])
+        oracle = F_H(h, params)
+        assert np.any(oracle > 0)
+        np.testing.assert_allclose(value, oracle, rtol=1e-12, atol=0.0)
+
+    def test_libm_erfc_matches_scipy(self):
+        # scipy's erfc returns 0 where libm's is still subnormal (z > 26.6).
+        z = np.linspace(0.0, 27.0, 54001)
+        np.testing.assert_allclose(_erfc(z), special.erfc(z), rtol=1e-13,
+                                   atol=np.finfo(float).tiny)
 
 
 def _joint(sm, sp, a):

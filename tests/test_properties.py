@@ -1,6 +1,7 @@
 """Property tests: array routes against per-element scalar oracles."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,18 @@ def test_gap_records_match_per_index_loop(ev, lambda0, delta):
     assert list(zip(*recs)) == _gap_rows(ev, lambda0, delta)
     assert all(col.ndim == 1 and col.size == recs.index.size for col in recs)
     assert recs.index.dtype.kind == "i"
+
+
+@PROPERTY
+@given(ev=spectra.filter(len), at=st.integers(0, 40), lambda0=st.floats(-1.2e3, 1.2e3),
+       delta=st.floats(1e-6, 1e4) | st.just(np.inf))
+@example(ev=[0.0, 1.0, 3.0], at=2, lambda0=1.0, delta=5.0)
+def test_gap_records_reject_nan(ev, at, lambda0, delta):
+    # A NaN anywhere in a spectrum of two or more values has a NaN gap next to it.
+    ev = list(ev)
+    ev.insert(at % (len(ev) + 1), np.nan)
+    with pytest.raises(ValueError, match="ascending"):
+        extract_gap_records(ev, lambda0, delta)
 
 
 @PROPERTY
