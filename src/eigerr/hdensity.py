@@ -6,21 +6,22 @@ through the local estimate
 
     h_hat(s-, s+) = lam^2 [1/s-^2 + 1/s+^2 + p rho (1/s- + 1/s+)]
 
-induces a probability density f_H(h). This module evaluates f_H and its
-cumulative F_H semi-analytically: the level set h_hat = h is solved in
-closed form (``s0``, ``s_star``), and both reduce to one-dimensional
-integrals over half of it, summed by a fixed Gauss-Legendre rule checked at
-two orders. The large-h tail obeys f_H = O(p^2/h^2), which ``tail_report``
-verifies numerically; its tail integral runs on the same fixed rule.
-
-Everything is a function of (lam, a = p*rho) only. ``sample_joint_gaps``
-draws the joint gap surmise exactly, as the spacings of three GOE levels,
-and serves as an independent Monte-Carlo oracle.
+induces a probability density f_H(h). In mean gaps x = a s, a = p rho, the
+level set is 1/x-^2 + 1/x+^2 + 1/x- + 1/x+ = u = h / (lam a)^2, solved in
+closed form (``s0``, ``s_star``), and f_H(h) = g(u) / (lam a)^2, F_H(h) = G(u)
+with g and G integrals over the half arc x in [x_eq, x_eq + 12] that take no
+parameters: their Gauss-Legendre panels and nodes are built once at import,
+every sum is checked at two orders, and the value is exactly 0 where x_eq
+passes one constant cut. ``tail_report`` verifies the large-h tail
+f_H = O(p^2/h^2) with a tail integral on the same two-order rule.
+``sample_joint_gaps`` draws the joint gap surmise exactly, as the spacings of
+three GOE levels, and serves as an independent Monte-Carlo oracle.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,94 +59,95 @@ class HDensityParams:
     a: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be finite and positive")
-        a = float(self.p * self.rho)
-        if not (math.isfinite(a) and a > 0):
-            raise ValueError("p * rho must be finite and positive")
-        object.__setattr__(self, "a", a)
+        # tail_report's plateau carries p^3, so a negative p would flip its sign.
+        if not (isinstance(self.p, numbers.Integral) and self.p > 0):
+            raise ValueError(f"p must be a positive integer, not {self.p!r}")
+        for name, value in (("lam", self.lam), ("rho", self.rho), ("p * rho", self.p * self.rho)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        object.__setattr__(self, "a", float(self.p * self.rho))
 
 
-def _coefs(params):
-    # One-sided estimate g(s) = A/s^2 + B/s.
-    lam2 = params.lam * params.lam
-    return lam2, lam2 * params.a
+def _h_unit(params):
+    # (lam a)^2: in mean gaps x = a s, h_hat = (lam a)^2 (1/x-^2 + 1/x+^2 + 1/x- + 1/x+).
+    return (params.lam * params.a) ** 2
 
 
-def _root(d, params):
-    # Positive root of A/s^2 + B/s = d for d > 0.
-    a_c, b_c = _coefs(params)
-    return (b_c + np.sqrt(b_c * b_c + 4.0 * a_c * d)) / (2.0 * d)
+def _root(d):
+    # Positive root x = (1 + sqrt(1 + 4d)) / (2d) of 1/x^2 + 1/x = d > 0, in
+    # r = 1/(2d) so that neither a huge d (x -> 0) nor a tiny one overflows.
+    r = 0.5 / d
+    return r + np.sqrt(r) * np.sqrt(r + 2.0)
+
+
+def _checked_h(h):
+    h = np.asarray(h, dtype=float)
+    if not ((h > 0) & (h < math.inf)).all():  # NaN fails both
+        raise ValueError("h must be finite and positive")
+    return h
+
+
+def _float_if_0d(values):
+    return float(values) if values.ndim == 0 else values
 
 
 def s0(h, params):
     """Gap below which a single side already pushes the estimate past h.
 
-    Positive root of A/s^2 + B/s = h with A = lam^2, B = lam^2 p rho:
-    s0 = (B + sqrt(B^2 + 4 A h)) / (2h). Decreases monotonically in h.
+    Root of lam^2/s^2 + lam^2 a/s = h: in mean gaps x = a s and u = h/(lam a)^2,
+    s0 = x(u) / a with x(u) = (1 + sqrt(1 + 4u)) / (2u). Decreases in h.
+    ``h`` is a scalar (returns a float) or an array.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    return _root(h, params)
-
-
-def _residual(h, s_plus, params):
-    a_c, b_c = _coefs(params)
-    return h - a_c / (s_plus * s_plus) - b_c / s_plus
+    return _float_if_0d(_root(_checked_h(h) / _h_unit(params)) / params.a)
 
 
 def s_star(h, s_plus, params):
     """Left gap that makes h_hat(s-, s+) equal h, at fixed right gap s+.
 
-    Defined through the root identity h_hat(s_star, s+) = h: the residual
-    D = h - A/s+^2 - B/s+ must be positive (i.e. s+ > s0(h)), and then
-    s_star = (B + sqrt(B^2 + 4 A D)) / (2 D).
+    Defined through the root identity h_hat(s_star, s+) = h: the unit residual
+    d = u - 1/x+^2 - 1/x+ must be positive (i.e. s+ > s0(h)), and then
+    s_star = x(d) / a with the root x of ``s0``. ``h`` and ``s_plus`` broadcast.
     """
-    d = _residual(h, s_plus, params)
-    if d <= 0:
+    r = 1.0 / (params.a * np.asarray(s_plus, dtype=float))  # 1/x+
+    d = _checked_h(h) / _h_unit(params) - r * (1.0 + r)
+    if not np.all(d > 0):
         raise ValueError("s_plus must exceed s0(h) for a positive root to exist")
-    return _root(d, params)
+    return _float_if_0d(_root(d) / params.a)
 
 
 def ds_star_dh(h, s_plus, params):
     """Analytic derivative of s_star in h; negative on the whole domain.
 
-    Implicit differentiation of A/s^2 + B/s = D gives
-    ds/dh = -s^3 / (2A + B s), which stays numerically stable as D -> 0+.
+    Implicit differentiation of lam^2/s^2 + lam^2 a/s = D gives
+    -s^3 / (lam^2 (2 + a s)), stable as D -> 0+. Arguments as for ``s_star``.
     """
     s = s_star(h, s_plus, params)
-    a_c, b_c = _coefs(params)
-    return -s ** 3 / (2.0 * a_c + b_c * s)
+    return -s ** 3 / (params.lam ** 2 * (2.0 + params.a * s))
 
 
-# Fixed Gauss-Legendre rules: every integral is summed at both orders on the
-# same panels, and the two sums must agree to _RULE_RTOL.
+# Every fixed Gauss-Legendre rule sums at both orders; the sums must agree to _RULE_RTOL.
 _RULES = [np.polynomial.legendre.leggauss(n) for n in (64, 40)]
 _RULE_RTOL = 1e-6
-# Half-arc panels in units of the mean gap 1/a, measured from the symmetric
-# point s_eq; the Gaussian factor of J is below 1e-40 past 12 mean gaps.
-_ARC_EDGES = np.array([0.0, 0.1, 1.0, 12.0])
-# exp(-x) rounds to 0.0 in double precision for every x above this
-# (2^-1075 = e^-745.13 is half the smallest subnormal).
-_EXP_UNDERFLOW = 746.0
 # f_H_mass panels in log(h / h_typ), h_typ = 4 (lam a)^2; f_H depends on h only
 # through h / (lam a)^2, so one set of edges serves every (lam, a).
 _MASS_EDGES = np.log([1e-3, 1e-1, 1.0, 10.0, 2e4])
+# J in mean gaps (a = 1): J~ = _J_COEF x- x+ (x- + x+) e^(-_B (x-^2 + x+^2 + x- x+)).
+_J_COEF = 2187.0 / (32.0 * math.pi ** 3)  # 3^7 = 2187
+_B = gauss_rate(1.0)
 
 
-def _fixed_rule(integrand, edges):
-    # Integrate integrand(nodes) along the panels of each row of edges (m, k+1).
+def _panels(edges):
+    # Each order's (nodes, weights) on the panels of each row of edges (m, k+1).
     half = 0.5 * np.diff(edges, axis=1)[:, :, None]
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
-    sums = []
-    for x, w in _RULES:
-        nodes = (mid + half * x).reshape(len(edges), -1)
-        weights = (half * w).reshape(len(edges), -1)
-        sums.append(np.sum(integrand(nodes) * weights, axis=1))
-    fine, coarse = sums
-    # Relative above the underflow scale, where sums lose digits; NaN fails.
-    tol = np.maximum(_RULE_RTOL * np.abs(fine), np.finfo(float).tiny)
-    bad = ~(np.abs(fine - coarse) <= tol)
+    return [((mid + half * x).reshape(len(edges), -1), (half * w).reshape(len(edges), -1))
+            for x, w in _RULES]
+
+
+def _agreed(fine, coarse):
+    # The fine sums, once each agrees with its coarse sum: relative above the
+    # underflow scale, where sums lose digits; NaN fails.
+    bad = ~(np.abs(fine - coarse) <= np.maximum(_RULE_RTOL * np.abs(fine), np.finfo(float).tiny))
     if bad.any():
         raise RuntimeError(
             f"quadrature did not converge at {int(bad.sum())} of {bad.size} points: "
@@ -153,34 +155,50 @@ def _fixed_rule(integrand, edges):
     return fine
 
 
+def _fixed_rule(integrand, edges):
+    # Integrate integrand(nodes) along the panels of each row of edges (m, k+1).
+    return _agreed(*[(integrand(x) * w).sum(axis=1) for x, w in _panels(edges)])
+
+
 def _over_h(h, rule):
-    # rule(h_col) -> one value per row of the (m, 1) column h_col; the result
-    # takes the shape of h, and a scalar h gives a float.
-    h = np.asarray(h, dtype=float)
-    if not np.all(h > 0):
-        raise ValueError("h must be positive")
-    values = rule(h.reshape(-1, 1))
-    return float(values[0]) if h.ndim == 0 else values.reshape(h.shape)
+    # rule(h_col) -> one value per row of the column h_col (m, 1), shaped as h; in
+    # blocks of 64 rows, whose (rows, nodes) temporaries stay in cache (an empty h
+    # is one empty block).
+    h = _checked_h(h)
+    col = h.reshape(-1, 1)
+    values = [rule(col[i:i + 64]) for i in range(0, max(len(col), 1), 64)]
+    return _float_if_0d(np.concatenate(values).reshape(h.shape))
 
 
-def _half_arc_rule(h, params, integrand):
-    # Sum integrand(s_star, s_eq, s+) over s+ in [s_eq, s_eq + 12/a] for every
-    # h; s_star = s_star(h, s+) <= s_eq there.
+# The half arc x in [x_eq, x_eq + 12] has the panels x_eq + (0, 0.1, 1, 12)
+# for every h (J's Gaussian factor is below 1e-40 past 12 mean gaps), so its
+# nodes, as offsets from x_eq, and weights are built once; both orders' nodes
+# side by side take one integrand call.
+(_FINE, _FINE_W), (_COARSE, _COARSE_W) = _panels(np.array([[0.0, 0.1, 1.0, 12.0]]))
+_ARC_NODES, _N_FINE = np.hstack([_FINE, _COARSE]), _FINE.shape[1]
+# exp(-x) is 0.0 for every x above _EXP_UNDERFLOW (2^-1075 = e^-745.13 is half the
+# smallest subnormal). On the half arc x+ >= x_eq, J~'s Gaussian factor is below
+# e^(-B x_eq^2), 0.0 once x_eq reaches _X_CUT: at u = _U_CUT, h = h_typ / 63.
+_EXP_UNDERFLOW = 746.0
+_X_CUT = math.sqrt(_EXP_UNDERFLOW / _B)
+_U_CUT = 2.0 * (1.0 / _X_CUT ** 2 + 1.0 / _X_CUT)
+
+
+def _half_arc_rule(h, params, terms):
+    # Sum terms(x_star, x_eq, x) over the half arc at u = h / (lam a)^2 for each h:
+    # x_eq = x(u/2), x_star = x(u - 1/x^2 - 1/x) <= x_eq. At u <= _U_CUT the value is
+    # 0.0 unsummed; summing gives inf * 0 once x^3 (f_H) or x^2 (F_H) overflow.
     def rule(h_col):
-        s_eq = _root(h_col / 2.0, params)
-        # On the half arc s+ >= s_eq, so J's Gaussian factor e^(-b (s-^2 + s+^2 +
-        # s- s+)) is below e^(-b s_eq^2). Where that is 0.0, so is every term of
-        # the sum, and the value is exactly 0; summing anyway gives inf * 0 once
-        # s^3 or x^2 overflow (h below ~1e-100 h_typ). The test b s_eq^2 <= 746
-        # is taken on s_eq, as s_eq^2 itself overflows below ~1e-150 h_typ.
-        live = (s_eq <= math.sqrt(_EXP_UNDERFLOW / gauss_rate(params.a))).ravel()
-        values = np.zeros(h_col.shape[0])
-        if live.any():
-            h_live, s_live = h_col[live], s_eq[live]
-            values[live] = _fixed_rule(
-                lambda s_plus: integrand(
-                    _root(_residual(h_live, s_plus, params), params), s_live, s_plus),
-                s_live + _ARC_EDGES / params.a)
+        u = h_col / _h_unit(params)
+        live = u[:, 0] > _U_CUT
+        u = u[live]
+        x_eq = _root(0.5 * u)
+        x = x_eq + _ARC_NODES
+        r = 1.0 / x
+        terms_x = terms(_root(u - r * (1.0 + r)), x_eq, x)
+        values = np.zeros(len(live))
+        values[live] = _agreed((terms_x[:, :_N_FINE] * _FINE_W).sum(axis=1),
+                               (terms_x[:, _N_FINE:] * _COARSE_W).sum(axis=1))
         return values
 
     return _over_h(h, rule)
@@ -192,15 +210,12 @@ def f_H(h, params):
     f_H(h) = -int J(s_star(h, s+), s+) ds_star/dh ds+ along the level set
     h_hat = h. J and the level set are symmetric in (s-, s+), so this is
     twice the integral over the half arc s+ >= s_eq = s0(h/2), where the
-    integrand is smooth. ``h`` is a scalar (returns a float) or an array.
+    integrand is smooth; in mean gaps, g(u) / (lam a)^2 with u = h / (lam a)^2.
+    ``h`` is a scalar (returns a float) or an array.
     """
-    a_c, b_c = _coefs(params)
-
-    def integrand(s, _, x):
-        # Twice J(s, x) |ds/dh| at s+ = x, with |ds/dh| = s^3 / (2A + B s).
-        return 2.0 * joint_gap_pdf(s, x, params.p, params.rho) * s ** 3 / (2.0 * a_c + b_c * s)
-
-    return _half_arc_rule(h, params, integrand)
+    # Twice J~(x_star, x) |dx_star/du|, with |dx/du| = x^3 / (2 + x).
+    return _half_arc_rule(h, params, lambda x_star, _, x: 2.0 * joint_gap_pdf(x_star, x, 1, 1.0)
+                          * x_star ** 3 / (2.0 + x_star)) / _h_unit(params)
 
 
 def _erfc(z):
@@ -208,18 +223,15 @@ def _erfc(z):
     return np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
-def _upper_mass(lo, x, params):
-    # int_lo^inf J(y, x) dy, J = c x y (x + y) e^(-b (x^2 + y^2 + x y)): with
-    # t = y + x/2 the exponent is -b (t^2 + 3 x^2 / 4) and y (y + x) = t^2 - x^2 / 4,
-    # so I = c x [t0/(2b) e^(-b t0^2) + (1/(2b) - x^2/4) sqrt(pi/b)/2 erfc(sqrt(b) t0)]
-    # e^(-3 b x^2 / 4) with t0 = lo + x/2.
-    a = params.a
-    c = 2187.0 * a ** 5 / (32.0 * math.pi ** 3)  # 3^7 = 2187
-    b = gauss_rate(a)
+def _upper_mass(lo, x):
+    # I~(lo, x) = int_lo^inf J~(y, x) dy: with t = y + x/2 the exponent is
+    # -B (t^2 + 3 x^2 / 4) and y (y + x) = t^2 - x^2 / 4, so
+    # I~ = c x [t0/(2B) e^(-B t0^2) + (1/(2B) - x^2/4) sqrt(pi/B)/2 erfc(sqrt(B) t0)]
+    # e^(-3 B x^2 / 4) with t0 = lo + x/2. In gaps s, I(lo, x) = a I~(a lo, a x).
     t0 = lo + 0.5 * x
-    tail = t0 / (2.0 * b) * np.exp(-b * t0 * t0) \
-        + (0.5 / b - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / b) * _erfc(math.sqrt(b) * t0)
-    return c * x * tail * np.exp(-0.75 * b * x * x)
+    tail = t0 / (2.0 * _B) * np.exp(-_B * t0 * t0) \
+        + (0.5 / _B - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / _B) * _erfc(math.sqrt(_B) * t0)
+    return _J_COEF * x * tail * np.exp(-0.75 * _B * x * x)
 
 
 def F_H(h, params):
@@ -228,13 +240,11 @@ def F_H(h, params):
     The region s+ > s0(h), s- > s_star(h, s+) is split at s_eq = s0(h/2);
     mirroring the part s+ < s_eq and swapping its order of integration gives
     F_H(h) = int_{s_eq}^inf [2 I(s_star(h, x), x) - I(s_eq, x)] dx with the
-    closed form I(lo, x) = int_lo^inf J(y, x) dy. Nondecreasing in h and
-    -> 1 as h -> inf. ``h`` is a scalar (returns a float) or an array.
+    closed form I(lo, x) = int_lo^inf J(y, x) dy; in mean gaps, G(u). Nondecreasing
+    in h and -> 1 as h -> inf. ``h`` is a scalar (returns a float) or an array.
     """
-    def integrand(s, s_eq, x):
-        return 2.0 * _upper_mass(s, x, params) - _upper_mass(s_eq, x, params)
-
-    return _half_arc_rule(h, params, integrand)
+    return _half_arc_rule(
+        h, params, lambda x_star, x_eq, x: 2.0 * _upper_mass(x_star, x) - _upper_mass(x_eq, x))
 
 
 def f_H_mass(params):
@@ -244,7 +254,7 @@ def f_H_mass(params):
     completed as f_H(h_hi) * h_hi, exact for a pure h^-2 tail. Mass below the
     lower cutoff is doubly-exponentially small and ignored.
     """
-    edges = math.log(4.0 * (params.lam * params.a) ** 2) + _MASS_EDGES
+    edges = math.log(4.0 * _h_unit(params)) + _MASS_EDGES
     h_hi = math.exp(edges[-1])
     mass = _fixed_rule(lambda t: f_H(np.exp(t), params) * np.exp(t), edges[None, :])[0]
     return float(mass + f_H(h_hi, params) * h_hi)

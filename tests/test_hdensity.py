@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special, stats
 from scipy.integrate import quad
 
@@ -56,6 +58,13 @@ class TestParams:
                             (inf, 4, 0.25), (-inf, 4, 0.25), (1.0, 4, inf)]:
             with pytest.raises(ValueError, match="positive"):
                 HDensityParams(lam=lam, p=p, rho=rho)
+        # p and rho are checked apart: p = -1000, rho = -0.01 gives a = 10, but
+        # tail_report's plateau carries p^3 and would flip its sign.
+        for p, rho, name in [(-1000, -0.01, "p"), (0, 0.25, "p"), (0.5, 1.0, "p"),
+                             (1000.0, 0.01, "p"), (4, -0.25, "rho"), (4, -inf, "rho")]:
+            with pytest.raises(ValueError, match=f"^{name} must be .*positive"):
+                HDensityParams(lam=1.0, p=p, rho=rho)
+        assert HDensityParams(lam=1.0, p=np.int64(4), rho=0.25).a == 1.0
 
 
 class TestS0:
@@ -81,6 +90,22 @@ class TestS0:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             s0(0.0, UNIT)
+
+    def test_elementwise_over_arrays(self):
+        # s0, s_star and ds_star_dh take array h (and s+) elementwise, like f_H.
+        h = 16.0 * np.geomspace(0.01, 1e6, 12).reshape(3, 4)
+        sp = s0(h, UNIT) * np.linspace(1.01, 40.0, 12).reshape(3, 4)
+        assert type(s0(16.0, UNIT)) is float and type(s_star(16.0, 1.0, UNIT)) is float
+        np.testing.assert_array_equal(s0(h, UNIT), np.vectorize(lambda v: s0(v, UNIT))(h))
+        np.testing.assert_array_equal(s_star(h, sp, UNIT),
+                                      np.vectorize(lambda v, w: s_star(v, w, UNIT))(h, sp))
+        np.testing.assert_allclose(ds_star_dh(h, sp, UNIT),
+                                   np.vectorize(lambda v, w: ds_star_dh(v, w, UNIT))(h, sp),
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
+        sp[1, 2] = 0.99 * s0(h[1, 2], UNIT)
+        for func in (s_star, ds_star_dh):
+            with pytest.raises(ValueError, match="s0"):
+                func(h, sp, UNIT)
 
 
 class TestSStar:
@@ -219,6 +244,47 @@ def _tail_grid(params):
     return np.geomspace(*tail_report(params).window, 25)
 
 
+def _physical_route(h, params, cumulative):
+    # f_H (or F_H) on the half-arc route in gaps s that the mean-gap form
+    # replaces, kept as the oracle: s_star from the roots of
+    # lam^2/s^2 + lam^2 a/s = d, the panels s_eq + (0, 0.1, 1, 12)/a built for
+    # each h, and the 64-node sum of the integrand on its own nodes.
+    a = params.a
+    a_c, b_c = params.lam ** 2, params.lam ** 2 * a
+    b = 9.0 * a * a / (4.0 * math.pi)
+    c = 2187.0 * a ** 5 / (32.0 * math.pi ** 3)
+
+    def root(d):
+        return (b_c + np.sqrt(b_c * b_c + 4.0 * a_c * d)) / (2.0 * d)
+
+    def upper(lo, x):
+        # I(lo, x) in its erfc form.
+        t0 = lo + 0.5 * x
+        tail = t0 / (2.0 * b) * np.exp(-b * t0 * t0) \
+            + (0.5 / b - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / b) * _erfc(math.sqrt(b) * t0)
+        return c * x * tail * np.exp(-0.75 * b * x * x)
+
+    h = np.asarray(h, dtype=float)
+    h_col = h.reshape(-1, 1)
+    s_eq = root(h_col / 2.0)
+    live = (s_eq <= math.sqrt(746.0 / b)).ravel()
+    out = np.zeros(h_col.shape[0])
+    if live.any():
+        h_col, s_eq = h_col[live], s_eq[live]
+        edges = s_eq + np.array([0.0, 0.1, 1.0, 12.0]) / a
+        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        x = (mid + half * nodes).reshape(len(edges), -1)
+        s = root(h_col - a_c / (x * x) - b_c / x)
+        if cumulative:
+            terms = 2.0 * upper(s, x) - upper(s_eq, x)
+        else:
+            terms = 2.0 * joint_gap_pdf(s, x, params.p, params.rho) * s ** 3 / (2.0 * a_c + b_c * s)
+        out[live] = np.sum(terms * (half * weights).reshape(len(edges), -1), axis=1)
+    return out.reshape(h.shape)
+
+
 class TestErfcForm:
     @pytest.mark.parametrize("params", params_grid())
     @pytest.mark.parametrize("grid", [_fh_grid, _tail_grid], ids=["fh-density", "tail"])
@@ -233,20 +299,23 @@ class TestErfcForm:
         _half_arc_rule(grid(params), params, record)
         assert nodes
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        a = params.a
         for lo, x in nodes:
-            oracle, size, expo = _upper_mass_erfcx(lo, x, params)
+            # The nodes are in mean gaps; the oracle takes gaps s = x / a.
+            oracle, size, expo = _upper_mass_erfcx(lo / a, x / a, params)
             # 1e-13 of the terms' size, plus the rounding both forms carry in an
             # exponent argument of size E (up to ~746 on the half arc); values
             # below the smallest normal float keep only a few digits.
             tol = (1e-13 + 4.0 * eps * expo) * size + tiny
-            assert np.all(np.abs(_upper_mass(lo, x, params) - oracle) <= tol)
+            assert np.all(np.abs(a * _upper_mass(lo, x) - oracle) <= tol)
 
     @pytest.mark.parametrize("params", params_grid())
     @pytest.mark.parametrize("grid", [_fh_grid, _tail_grid], ids=["fh-density", "tail"])
     def test_cumulative_matches_erfcx_form(self, params, grid, monkeypatch):
         h = grid(params)
         value = F_H(h, params)
-        monkeypatch.setattr(hdensity, "_upper_mass", lambda lo, x, q: _upper_mass_erfcx(lo, x, q)[0])
+        # In mean gaps I~ is I at a = 1.
+        monkeypatch.setattr(hdensity, "_upper_mass", lambda lo, x: _upper_mass_erfcx(lo, x, UNIT)[0])
         oracle = F_H(h, params)
         assert np.any(oracle > 0)
         np.testing.assert_allclose(value, oracle, rtol=1e-12, atol=0.0)
@@ -256,6 +325,64 @@ class TestErfcForm:
         z = np.linspace(0.0, 27.0, 54001)
         np.testing.assert_allclose(_erfc(z), special.erfc(z), rtol=1e-13,
                                    atol=np.finfo(float).tiny)
+
+
+def _assert_matches_physical_route(h, params):
+    # Values past the cut on x_eq = a s_eq are exactly 0 on both routes. Else
+    # the routes differ by rounding: a few ulp in x_eq or x_star move the
+    # Gaussian exponent E = B x_eq^2 (up to ~746 on the half arc) by a few
+    # eps E. Measured: at most 7 eps (1 + E) relative (1.8e-13 at E ~ 700) on
+    # the fh-density and tail grids of params_grid and on 6,000 random
+    # (lam, a, u); values below the smallest normal float keep few digits.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    x_eq = hdensity._root(0.5 * h / (params.lam * params.a) ** 2)
+    expo = hdensity._B * x_eq ** 2
+    cut = x_eq > hdensity._X_CUT
+    for func, cumulative in ((f_H, False), (F_H, True)):
+        value, oracle = func(h, params), _physical_route(h, params, cumulative)
+        assert np.all(value[cut] == 0.0) and np.all(oracle[cut] == 0.0)
+        assert np.all(np.abs(value - oracle) <= 16.0 * eps * (1.0 + expo) * oracle + tiny)
+
+
+class TestMeanGapForm:
+    @pytest.mark.parametrize("params", params_grid())
+    @pytest.mark.parametrize("grid", [_fh_grid, _tail_grid], ids=["fh-density", "tail"])
+    def test_matches_physical_route(self, params, grid):
+        h = grid(params)
+        _assert_matches_physical_route(h, params)
+        assert np.any(f_H(h, params) > 0.0)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(lam=st.floats(0.05, 100.0), p=st.integers(1, 5000), rho=st.floats(1e-3, 1.0),
+           log_u=st.lists(st.floats(-3.0, 8.0), min_size=1, max_size=8))
+    def test_matches_physical_route_property(self, lam, p, rho, log_u):
+        # h = u (lam a)^2: u = 10^-3 sits past the cut, 10^8 deep in the tail.
+        params = HDensityParams(lam=lam, p=p, rho=rho)
+        _assert_matches_physical_route(10.0 ** np.array(log_u) * (lam * params.a) ** 2, params)
+
+
+class TestHRule:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_h_rejected(self, bad):
+        # F_H(inf) used to read 0.0, and tail_integral(inf) to warn, then report
+        # a quadrature that did not converge; s0(nan) read nan.
+        for func in (f_H, F_H, tail_integral, s0):
+            for h in (bad, np.array([1.0, bad])):
+                with pytest.raises(ValueError, match="^h must be finite and positive$"):
+                    func(h, UNIT)
+        for func in (s_star, ds_star_dh):
+            with pytest.raises(ValueError, match="^h must be finite and positive$"):
+                func(bad, 1.0, UNIT)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_h(self):
+        # The gap-unit root overflowed in B^2 + 4 A h, so F_H read 0.0 with a
+        # RuntimeWarning from h = 3e305 on at lam = 20, p = 1000.
+        h = np.geomspace(1e290, 1e308, 40)
+        assert np.all(np.abs(F_H(h, LAM20) - 1.0) <= 1e-12)
+        values = f_H(h, LAM20)
+        assert np.all(np.isfinite(values) & (values >= 0.0))
+        assert np.all(s0(h, LAM20) > 0.0)
 
 
 def _joint(sm, sp, a):
