@@ -93,13 +93,18 @@ def h_hat(lam, s_minus, s_plus, p, rho, include_correction=True):
 
     lam^2 [ (1/s-^2 + 1/s+^2) + p*rho(lam) (1/s- + 1/s+) ]; dropping the
     second bracket gives the nearest-neighbor-only variant
-    (include_correction=False).
+    (include_correction=False). Gaps must be positive (NaN is not), lam must be
+    finite and rho finite and nonnegative (rho = 0 at a bulk edge).
     """
     sm = np.asarray(s_minus, dtype=float)
     sp = np.asarray(s_plus, dtype=float)
-    if np.any(sm <= 0) or np.any(sp <= 0):
+    if not (np.all(sm > 0) and np.all(sp > 0)):
         raise ValueError("gaps must be positive")
     lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("lam must be finite")
+    if not (np.all(np.isfinite(rho)) and np.all(np.asarray(rho) >= 0)):
+        raise ValueError("rho must be finite and nonnegative")
     out = lam * lam * (1.0 / sm ** 2 + 1.0 / sp ** 2)
     if include_correction:
         out = out + lam * lam * p * rho * (1.0 / sm + 1.0 / sp)

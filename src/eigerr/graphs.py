@@ -139,8 +139,11 @@ def incidence_matrix(g):
 
 def laplacian(g):
     """Unnormalized Laplacian C = D - A with its eigenvalues attached."""
-    a = adjacency_matrix(g)
-    c = np.diag(a.sum(axis=1)) - a
+    # One array: -1 on both entries of each edge, the degrees on the diagonal.
+    c = np.zeros((g.p, g.p))
+    u, v = g.edges.T
+    c[u, v] = c[v, u] = -1.0
+    c[np.diag_indices(g.p)] = np.bincount(g.edges.ravel(), minlength=g.p)
     return population_matrix(c)
 
 

@@ -8,11 +8,14 @@ through the local estimate
 
 induces a probability density f_H(h). In mean gaps x = a s, a = p rho, the
 level set is 1/x-^2 + 1/x+^2 + 1/x- + 1/x+ = u = h / (lam a)^2, solved in
-closed form (``s0``, ``s_star``), and f_H(h) = g(u) / (lam a)^2, F_H(h) = G(u)
-with g and G integrals over the half arc x in [x_eq, x_eq + 12] that take no
-parameters: their Gauss-Legendre panels and nodes are built once at import,
-every sum is checked at two orders, and the value is exactly 0 where x_eq
-passes one constant cut. ``tail_report`` verifies the large-h tail
+closed form (``s0``, ``s_star``) from v = 1/u = (lam a)^2 / h, which cannot
+overflow, and f_H(h) = g(u) / (lam a)^2, F_H(h) = G(u) with g and G integrals
+over the half arc x in [x_eq, x_eq + 12] that take no parameters: their
+Gauss-Legendre panels and nodes are built once at import, each integrand is
+one array expression (F_H's erfc is Cody's rational approximation in numpy),
+both orders are summed by one product with a (nodes, 2) weight matrix and
+checked against each other, and the value is exactly 0 where x_eq passes one
+constant cut. ``tail_report`` verifies the large-h tail
 f_H = O(p^2/h^2) with a tail integral on the same two-order rule.
 ``sample_joint_gaps`` draws the joint gap surmise exactly, as the spacings of
 three GOE levels, and serves as an independent Monte-Carlo oracle.
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import h_hat
-from .spectral import gauss_rate, joint_gap_pdf
+from .spectral import gauss_rate
 
 __all__ = [
     "HDensityParams",
@@ -73,11 +76,18 @@ def _h_unit(params):
     return (params.lam * params.a) ** 2
 
 
-def _root(d):
-    # Positive root x = (1 + sqrt(1 + 4d)) / (2d) of 1/x^2 + 1/x = d > 0, in
-    # r = 1/(2d) so that neither a huge d (x -> 0) nor a tiny one overflows.
-    r = 0.5 / d
+def _root(r):
+    # Positive root x = r + sqrt(r (r + 2)) of 1/x^2 + 1/x = 1/(2r), r > 0. Callers
+    # form r = (lam a)^2 / (2 h) or a multiple of it, never u = h / (lam a)^2, which
+    # overflows near the largest h when (lam a)^2 < 1.
     return r + np.sqrt(r) * np.sqrt(r + 2.0)
+
+
+def _unit_residual(v, x):
+    # d / u = 1 - v/x - v/x^2 for v = 1/u: the left root at right gap x has
+    # r = 1/(2d) = v / (2 d / u), and no step squares a tiny x.
+    t = v / x
+    return 1.0 - t - t / x
 
 
 def _checked_h(h):
@@ -98,7 +108,7 @@ def s0(h, params):
     s0 = x(u) / a with x(u) = (1 + sqrt(1 + 4u)) / (2u). Decreases in h.
     ``h`` is a scalar (returns a float) or an array.
     """
-    return _float_if_0d(_root(_checked_h(h) / _h_unit(params)) / params.a)
+    return _float_if_0d(_root(0.5 * _h_unit(params) / _checked_h(h)) / params.a)
 
 
 def s_star(h, s_plus, params):
@@ -108,11 +118,11 @@ def s_star(h, s_plus, params):
     d = u - 1/x+^2 - 1/x+ must be positive (i.e. s+ > s0(h)), and then
     s_star = x(d) / a with the root x of ``s0``. ``h`` and ``s_plus`` broadcast.
     """
-    r = 1.0 / (params.a * np.asarray(s_plus, dtype=float))  # 1/x+
-    d = _checked_h(h) / _h_unit(params) - r * (1.0 + r)
-    if not np.all(d > 0):
+    v = _h_unit(params) / _checked_h(h)  # 1/u
+    d_v = _unit_residual(v, params.a * np.asarray(s_plus, dtype=float))
+    if not np.all(d_v > 0):
         raise ValueError("s_plus must exceed s0(h) for a positive root to exist")
-    return _float_if_0d(_root(d) / params.a)
+    return _float_if_0d(_root(0.5 * v / d_v) / params.a)
 
 
 def ds_star_dh(h, s_plus, params):
@@ -128,6 +138,7 @@ def ds_star_dh(h, s_plus, params):
 # Every fixed Gauss-Legendre rule sums at both orders; the sums must agree to _RULE_RTOL.
 _RULES = [np.polynomial.legendre.leggauss(n) for n in (64, 40)]
 _RULE_RTOL = 1e-6
+_TINY = np.finfo(float).tiny
 # f_H_mass panels in log(h / h_typ), h_typ = 4 (lam a)^2; f_H depends on h only
 # through h / (lam a)^2, so one set of edges serves every (lam, a).
 _MASS_EDGES = np.log([1e-3, 1e-1, 1.0, 10.0, 2e4])
@@ -147,7 +158,7 @@ def _panels(edges):
 def _agreed(fine, coarse):
     # The fine sums, once each agrees with its coarse sum: relative above the
     # underflow scale, where sums lose digits; NaN fails.
-    bad = ~(np.abs(fine - coarse) <= np.maximum(_RULE_RTOL * np.abs(fine), np.finfo(float).tiny))
+    bad = ~(np.abs(fine - coarse) <= np.maximum(_RULE_RTOL * np.abs(fine), _TINY))
     if bad.any():
         raise RuntimeError(
             f"quadrature did not converge at {int(bad.sum())} of {bad.size} points: "
@@ -172,10 +183,14 @@ def _over_h(h, rule):
 
 # The half arc x in [x_eq, x_eq + 12] has the panels x_eq + (0, 0.1, 1, 12)
 # for every h (J's Gaussian factor is below 1e-40 past 12 mean gaps), so its
-# nodes, as offsets from x_eq, and weights are built once; both orders' nodes
-# side by side take one integrand call.
+# nodes, as offsets from x_eq, are built once: both orders' nodes side by side
+# take one integrand call, and one product with the (nodes, 2) weight matrix
+# _ARC_W (fine weights, then coarse, each zero on the other order's nodes)
+# gives both sums.
 (_FINE, _FINE_W), (_COARSE, _COARSE_W) = _panels(np.array([[0.0, 0.1, 1.0, 12.0]]))
-_ARC_NODES, _N_FINE = np.hstack([_FINE, _COARSE]), _FINE.shape[1]
+_ARC_NODES = np.hstack([_FINE, _COARSE])
+_ARC_W = np.zeros((_ARC_NODES.shape[1], 2))
+_ARC_W[:_FINE.shape[1], 0], _ARC_W[_FINE.shape[1]:, 1] = _FINE_W[0], _COARSE_W[0]
 # exp(-x) is 0.0 for every x above _EXP_UNDERFLOW (2^-1075 = e^-745.13 is half the
 # smallest subnormal). On the half arc x+ >= x_eq, J~'s Gaussian factor is below
 # e^(-B x_eq^2), 0.0 once x_eq reaches _X_CUT: at u = _U_CUT, h = h_typ / 63.
@@ -185,21 +200,20 @@ _U_CUT = 2.0 * (1.0 / _X_CUT ** 2 + 1.0 / _X_CUT)
 
 
 def _half_arc_rule(h, params, terms):
-    # Sum terms(x_star, x_eq, x) over the half arc at u = h / (lam a)^2 for each h:
-    # x_eq = x(u/2), x_star = x(u - 1/x^2 - 1/x) <= x_eq. At u <= _U_CUT the value is
-    # 0.0 unsummed; summing gives inf * 0 once x^3 (f_H) or x^2 (F_H) overflow.
+    # Sum terms(x_star, x_eq, x) over the half arc at each h, from v = 1/u =
+    # (lam a)^2 / h: x_eq = x(u/2) has r = v, and x_star = x(u - 1/x^2 - 1/x) <= x_eq.
+    # h is first raised to the cut _U_CUT (lam a)^2, where x_eq = _X_CUT and every
+    # term is already 0.0; below it, x_star^4 (f_H) or x^2 (F_H) would overflow
+    # into inf * 0.
+    h_cut = _U_CUT * _h_unit(params)
+
     def rule(h_col):
-        u = h_col / _h_unit(params)
-        live = u[:, 0] > _U_CUT
-        u = u[live]
-        x_eq = _root(0.5 * u)
+        v = _h_unit(params) / np.maximum(h_col, h_cut)
+        x_eq = _root(v)
         x = x_eq + _ARC_NODES
-        r = 1.0 / x
-        terms_x = terms(_root(u - r * (1.0 + r)), x_eq, x)
-        values = np.zeros(len(live))
-        values[live] = _agreed((terms_x[:, :_N_FINE] * _FINE_W).sum(axis=1),
-                               (terms_x[:, _N_FINE:] * _COARSE_W).sum(axis=1))
-        return values
+        t = terms(_root(0.5 * v / _unit_residual(v, x)), x_eq, x)
+        # One product per row, so that a row's sums do not depend on the block.
+        return _agreed(*(t[:, None, :] @ _ARC_W)[:, 0].T)
 
     return _over_h(h, rule)
 
@@ -213,25 +227,91 @@ def f_H(h, params):
     integrand is smooth; in mean gaps, g(u) / (lam a)^2 with u = h / (lam a)^2.
     ``h`` is a scalar (returns a float) or an array.
     """
-    # Twice J~(x_star, x) |dx_star/du|, with |dx/du| = x^3 / (2 + x).
-    return _half_arc_rule(h, params, lambda x_star, _, x: 2.0 * joint_gap_pdf(x_star, x, 1, 1.0)
-                          * x_star ** 3 / (2.0 + x_star)) / _h_unit(params)
+    def terms(x_star, _, x):
+        # Twice J~(x_star, x) |dx_star/du|, with |dx/du| = x^3 / (2 + x), as one
+        # product; x^2 + x_star^2 + x x_star = (x + x_star)^2 - x x_star.
+        s = x + x_star
+        x2 = x_star * x_star
+        return (2.0 * _J_COEF * x) * s * (x2 * x2) / (2.0 + x_star) \
+            * np.exp(-_B * (s * s - x * x_star))
+
+    return _half_arc_rule(h, params, terms) / _h_unit(params)
+
+
+# Cody's rational approximations to erf and erfc in double precision (W. J. Cody,
+# Math. Comp. 23 (1969) 631; the coefficients of his CALERF). With y = min(z, 4)
+# and w = 1 / max(z, 4)^2:
+#   z <= 0.46875:  erfc = 1 - y N1(y^2) / D1(y^2)
+#   z <= 4:        erfc = e^(-z^2) N2(y) / D2(y)
+#   z > 4:         erfc = e^(-z^2) (1/sqrt(pi) - w N3(w) / D3(w)) / z
+# Row k of _CODY holds the coefficients of power 8 - k of N1, D1, N2, D2, N3, D3
+# (zero above each one's degree), for Horner's rule in CALERF's order.
+_CODY = np.array([
+    [0.0, 0.0, 2.15311535474403846e-8, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 5.64188496988670089e-1, 1.57449261107098347e01, 0.0, 0.0],
+    [0.0, 0.0, 8.88314979438837594e00, 1.17693950891312499e02, 0.0, 0.0],
+    [0.0, 0.0, 6.61191906371416295e01, 5.37181101862009858e02,
+     1.63153871373020978e-2, 1.0],
+    [1.85777706184603153e-1, 1.0, 2.98635138197400131e02, 1.62138957456669019e03,
+     3.05326634961232344e-1, 2.56852019228982242e00],
+    [3.16112374387056560e00, 2.36012909523441209e01, 8.81952221241769090e02,
+     3.29079923573345963e03, 3.60344899949804439e-1, 1.87295284992346725e00],
+    [1.13864154151050156e02, 2.44024637934444173e02, 1.71204761263407058e03,
+     4.36261909014324716e03, 1.25781726111229246e-1, 5.27905102951428412e-1],
+    [3.77485237685302021e02, 1.28261652607737228e03, 2.05107837782607147e03,
+     3.43936767414372164e03, 1.60837851487422766e-2, 6.05183413124413191e-2],
+    [3.20937758913846947e03, 2.84423683343917062e03, 1.23033935479799725e03,
+     1.23033935480374942e03, 6.58749161529837803e-4, 2.33520497626869185e-3],
+])[:, :, None]
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# erfc(z) is below the smallest normal float past _ERFC_ZERO (CALERF's XBIG,
+# 26.543, rounded up to where erfc < 2^-1022), and is returned as 0 there.
+_ERFC_ZERO = 26.55
+# Arrays are taken in chunks of 8192: F_H on 200 points took 38 ms unchunked and
+# 32, 25 and 28 ms in chunks of 2048, 8192 and 16384 (the Python map of math.erfc
+# it replaced: 27 ms).
+_ERFC_CHUNK = 8192
 
 
 def _erfc(z):
-    # The C library's erfc, mapped over the array z.
-    return np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    # erfc of the array z >= 0, by the rational forms of _CODY: all six
+    # polynomials at once on a (6, n) array, with elementwise operations only, so
+    # that a value does not depend on the array it sits in (a BLAS product's
+    # does). e^(-z^2) is e^(-y0^2) e^(-(z - y0)(z + y0)) with y0 = floor(16 z) / 16,
+    # whose square is exact, as in CALERF: a rounded z^2 would cost up to 729 eps
+    # at z = 27. z is clamped at _ERFC_ZERO first, so that no step makes a
+    # subnormal, which costs x86 tens of times a normal operation.
+    flat = np.minimum(np.ravel(z), _ERFC_ZERO)
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _ERFC_CHUNK):
+        x = flat[i:i + _ERFC_CHUNK]
+        big = np.maximum(x, 4.0)
+        t = np.empty((6, x.size))
+        t[2] = t[3] = y = np.minimum(x, 4.0)
+        t[0] = t[1] = y * y
+        t[4] = t[5] = w = 1.0 / (big * big)
+        acc = _CODY[0] * t
+        for c in _CODY[1:-1]:
+            acc += c
+            acc *= t
+        num1, den1, num2, den2, num3, den3 = acc + _CODY[-1]
+        value = np.where(x > 4.0, (_INV_SQRT_PI - w * num3 / den3) / big, num2 / den2)
+        y0 = np.floor(16.0 * x) * 0.0625
+        value *= np.exp(-y0 * y0) * np.exp((y0 - x) * (x + y0))
+        out[i:i + _ERFC_CHUNK] = np.where(x <= 0.46875, 1.0 - y * num1 / den1,
+                                          np.where(x < _ERFC_ZERO, value, 0.0))
+    return out.reshape(np.shape(z))
 
 
 def _upper_mass(lo, x):
-    # I~(lo, x) = int_lo^inf J~(y, x) dy: with t = y + x/2 the exponent is
-    # -B (t^2 + 3 x^2 / 4) and y (y + x) = t^2 - x^2 / 4, so
-    # I~ = c x [t0/(2B) e^(-B t0^2) + (1/(2B) - x^2/4) sqrt(pi/B)/2 erfc(sqrt(B) t0)]
+    # I~(lo, x) e^(3 B x^2 / 4), where I~(lo, x) = int_lo^inf J~(y, x) dy: with
+    # t = y + x/2 the exponent is -B (t^2 + 3 x^2 / 4) and y (y + x) = t^2 - x^2 / 4,
+    # so I~ = c x [t0/(2B) e^(-B t0^2) + (1/(2B) - x^2/4) sqrt(pi/B)/2 erfc(sqrt(B) t0)]
     # e^(-3 B x^2 / 4) with t0 = lo + x/2. In gaps s, I(lo, x) = a I~(a lo, a x).
     t0 = lo + 0.5 * x
     tail = t0 / (2.0 * _B) * np.exp(-_B * t0 * t0) \
         + (0.5 / _B - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / _B) * _erfc(math.sqrt(_B) * t0)
-    return _J_COEF * x * tail * np.exp(-0.75 * _B * x * x)
+    return _J_COEF * x * tail
 
 
 def F_H(h, params):
@@ -243,8 +323,14 @@ def F_H(h, params):
     closed form I(lo, x) = int_lo^inf J(y, x) dy; in mean gaps, G(u). Nondecreasing
     in h and -> 1 as h -> inf. ``h`` is a scalar (returns a float) or an array.
     """
-    return _half_arc_rule(
-        h, params, lambda x_star, x_eq, x: 2.0 * _upper_mass(x_star, x) - _upper_mass(x_eq, x))
+    def terms(x_star, x_eq, x):
+        # Both lower limits in one call; e^(-3 B x^2 / 4) once for both.
+        lo = np.empty((2,) + x.shape)
+        lo[0], lo[1] = x_star, x_eq
+        upper = _upper_mass(lo, x)
+        return (2.0 * upper[0] - upper[1]) * np.exp(-0.75 * _B * x * x)
+
+    return _half_arc_rule(h, params, terms)
 
 
 def f_H_mass(params):

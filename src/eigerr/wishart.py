@@ -82,10 +82,16 @@ def sample_wishart_scaled(c_sqrt, n, seed):
         raise ValueError(f"need n >= p (classical regime), got n={n}, p={p}")
     rng = np.random.default_rng(seed)
     a = np.zeros((p, p))
-    lower = np.tril_indices(p, -1)
-    a[lower] = rng.standard_normal(lower[0].size)
+    # A boolean mask fills the strict lower triangle in the row-major order of
+    # tril_indices, without its two index arrays.
+    a[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
     dof = n - np.arange(p, dtype=float)
     a[np.diag_indices(p)] = np.sqrt(rng.chisquare(dof))
-    b = c_sqrt[:, None] * a if c_sqrt.ndim == 1 else c_sqrt @ a
-    return (b @ b.T) / n
+    if c_sqrt.ndim == 1:
+        a *= c_sqrt[:, None]
+    else:
+        a = c_sqrt @ a
+    draw = a @ a.T
+    draw /= n
+    return draw
 

@@ -93,6 +93,22 @@ class TestHHat:
         with pytest.raises(ValueError, match="gap"):
             h_hat(2.0, 0.0, 1.0, 10, 0.1)
 
+    def test_nan_and_nonfinite_inputs_rejected(self):
+        # NaN fails np.any(gap <= 0), so h_hat(20, nan, ...) used to return nan.
+        nan, inf = float("nan"), float("inf")
+        for sm, sp in [(nan, 0.1), (0.1, nan), (np.array([0.1, nan]), 0.1)]:
+            with pytest.raises(ValueError, match="gaps must be positive"):
+                h_hat(20.0, sm, sp, 1000, 0.09)
+        for lam in (nan, inf, np.array([20.0, -inf])):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                h_hat(lam, 0.1, 0.1, 1000, 0.09)
+        for rho in (nan, inf, -0.01):
+            with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+                h_hat(20.0, 0.1, 0.1, 1000, rho)
+        # rho = 0 at a bulk edge stays legal: the nearest-neighbour terms only.
+        assert h_hat(20.0, 0.1, 0.2, 1000, 0.0) == h_hat(20.0, 0.1, 0.2, 1000, 0.09,
+                                                         include_correction=False)
+
     def test_vectorized(self):
         sm = np.array([0.5, 1.0])
         sp = np.array([0.5, 2.0])

@@ -240,6 +240,16 @@ class TestLaplacian:
         norm = np.abs(c.eigenvalues).max()
         assert np.abs(resid).max() <= 1e-8 * norm
 
+    @pytest.mark.parametrize("p, k", [(3, 2), (50, 6), (1000, 20)])
+    def test_matrix_equals_degree_minus_adjacency(self, p, k):
+        # The one-array assembly against the former np.diag(a.sum(1)) - a, bit
+        # for bit (sign bits included: every zero stays +0.0).
+        g = sample_regular_graph(p, k, seed=p)
+        a = adjacency_matrix(g)
+        former = np.diag(a.sum(axis=1)) - a
+        c = laplacian(g).matrix
+        assert c.tobytes() == former.tobytes()
+
     def test_population_matrix_from_raw(self):
         m = np.diag([3.0, 1.0, 2.0])
         c = population_matrix(m)

@@ -307,24 +307,36 @@ class TestErfcForm:
             # exponent argument of size E (up to ~746 on the half arc); values
             # below the smallest normal float keep only a few digits.
             tol = (1e-13 + 4.0 * eps * expo) * size + tiny
-            assert np.all(np.abs(a * _upper_mass(lo, x) - oracle) <= tol)
+            # _upper_mass leaves out I~'s factor e^(-3 B x^2 / 4), which F_H shares.
+            value = _upper_mass(lo, x) * np.exp(-0.75 * hdensity._B * x * x)
+            assert np.all(np.abs(a * value - oracle) <= tol)
 
     @pytest.mark.parametrize("params", params_grid())
     @pytest.mark.parametrize("grid", [_fh_grid, _tail_grid], ids=["fh-density", "tail"])
-    def test_cumulative_matches_erfcx_form(self, params, grid, monkeypatch):
+    def test_cumulative_matches_erfcx_form(self, params, grid):
         h = grid(params)
         value = F_H(h, params)
-        # In mean gaps I~ is I at a = 1.
-        monkeypatch.setattr(hdensity, "_upper_mass", lambda lo, x: _upper_mass_erfcx(lo, x, UNIT)[0])
-        oracle = F_H(h, params)
+        # F_H's integrand 2 I~(x_star, x) - I~(x_eq, x) on the same half-arc rule,
+        # with I~ in its erfcx form; in mean gaps I~ is I at a = 1.
+        oracle = _half_arc_rule(h, params, lambda x_star, x_eq, x: (
+            2.0 * _upper_mass_erfcx(x_star, x, UNIT)[0] - _upper_mass_erfcx(x_eq, x, UNIT)[0]))
         assert np.any(oracle > 0)
         np.testing.assert_allclose(value, oracle, rtol=1e-12, atol=0.0)
 
-    def test_libm_erfc_matches_scipy(self):
-        # scipy's erfc returns 0 where libm's is still subnormal (z > 26.6).
+    def test_numpy_erfc_matches_libm_and_scipy(self):
+        # scipy's erfc returns 0 where libm's is still subnormal (z > 26.6), and so
+        # does _erfc past _ERFC_ZERO.
         z = np.linspace(0.0, 27.0, 54001)
-        np.testing.assert_allclose(_erfc(z), special.erfc(z), rtol=1e-13,
+        libm = np.array([math.erfc(v) for v in z])
+        for oracle in (libm, special.erfc(z)):
+            np.testing.assert_allclose(_erfc(z), oracle, rtol=1e-13, atol=np.finfo(float).tiny)
+        # Each of Cody's three ranges and their two edges, in any array shape.
+        edges = np.array([[0.0, 0.46875, np.nextafter(0.46875, 1.0)],
+                          [4.0, np.nextafter(4.0, 5.0), hdensity._ERFC_ZERO]])
+        np.testing.assert_allclose(_erfc(edges), np.vectorize(math.erfc)(edges), rtol=1e-13,
                                    atol=np.finfo(float).tiny)
+        assert _erfc(np.array([30.0, 1e300, np.inf])).tolist() == [0.0, 0.0, 0.0]
+        assert _erfc(np.empty((0, 3))).shape == (0, 3)
 
 
 def _assert_matches_physical_route(h, params):
@@ -335,7 +347,7 @@ def _assert_matches_physical_route(h, params):
     # the fh-density and tail grids of params_grid and on 6,000 random
     # (lam, a, u); values below the smallest normal float keep few digits.
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    x_eq = hdensity._root(0.5 * h / (params.lam * params.a) ** 2)
+    x_eq = hdensity._root((params.lam * params.a) ** 2 / h)
     expo = hdensity._B * x_eq ** 2
     cut = x_eq > hdensity._X_CUT
     for func, cumulative in ((f_H, False), (F_H, True)):
@@ -361,6 +373,84 @@ class TestMeanGapForm:
         _assert_matches_physical_route(10.0 ** np.array(log_u) * (lam * params.a) ** 2, params)
 
 
+# The half-arc nodes and fine-order weights of the former implementation, built
+# apart from hdensity's.
+_FORMER_EDGES = np.array([0.0, 0.1, 1.0, 12.0])
+_FORMER_HALF = 0.5 * np.diff(_FORMER_EDGES)[:, None]
+_GL64 = np.polynomial.legendre.leggauss(64)
+_FORMER_NODES = (0.5 * (_FORMER_EDGES[1:] + _FORMER_EDGES[:-1])[:, None]
+                 + _FORMER_HALF * _GL64[0]).ravel()
+_FORMER_W = (_FORMER_HALF * _GL64[1]).ravel()
+
+
+def _former_route(h, params, cumulative):
+    # f_H (or F_H) as computed before the fused integrands, kept as their oracle:
+    # u = h / (lam a)^2, the roots from d = u/2 and d = u - 1/x^2 - 1/x, J~ through
+    # joint_gap_pdf times x_star^3 / (2 + x_star), the closed form I~ on math.erfc
+    # mapped over the nodes, and the fine order's sum on its own.
+    b, unit = hdensity._B, (params.lam * params.a) ** 2
+
+    def root(d):
+        r = 0.5 / d
+        return r + np.sqrt(r) * np.sqrt(r + 2.0)
+
+    def upper(lo, x):
+        t0 = lo + 0.5 * x
+        erfc = np.reshape([math.erfc(v) for v in (math.sqrt(b) * t0).ravel()], t0.shape)
+        tail = t0 / (2.0 * b) * np.exp(-b * t0 * t0) \
+            + (0.5 / b - 0.25 * x * x) * 0.5 * math.sqrt(math.pi / b) * erfc
+        return hdensity._J_COEF * x * tail * np.exp(-0.75 * b * x * x)
+
+    u = h.reshape(-1, 1) / unit
+    live = u[:, 0] > hdensity._U_CUT
+    out = np.zeros(len(u))
+    u = u[live]
+    x_eq = root(0.5 * u)
+    x = x_eq + _FORMER_NODES
+    r = 1.0 / x
+    x_star = root(u - r * (1.0 + r))
+    if cumulative:
+        terms = 2.0 * upper(x_star, x) - upper(x_eq, x)
+    else:
+        terms = 2.0 * joint_gap_pdf(x_star, x, 1, 1.0) * x_star ** 3 / (2.0 + x_star) / unit
+    out[live] = terms @ _FORMER_W
+    return out.reshape(h.shape)
+
+
+def _assert_matches_former_route(h, params):
+    # Values at or below the cut are exactly 0 on both routes. Else the fused
+    # integrands, the roots from r = (lam a)^2 / h and the numpy erfc move values
+    # by rounding, which a few ulp in x_eq or x_star carry into the Gaussian
+    # exponent E = B x_eq^2 (up to ~746). Measured: at most 4.4 eps (1 + E)
+    # relative (1.9e-13 at E ~ 700; 8.4e-14 on the fh-density grids) on the
+    # fh-density and tail grids of params_grid and on 12,000 random (lam, a, u);
+    # values below the smallest normal float keep few digits.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    unit = (params.lam * params.a) ** 2
+    expo = hdensity._B * hdensity._root(unit / h) ** 2
+    cut = h <= hdensity._U_CUT * unit
+    for func, cumulative in ((f_H, False), (F_H, True)):
+        value, oracle = func(h, params), _former_route(h, params, cumulative)
+        assert np.all(value[cut] == 0.0) and np.all(oracle[cut] == 0.0)
+        assert np.all(np.abs(value - oracle) <= 8.0 * eps * (1.0 + expo) * oracle + tiny)
+
+
+class TestFormerRoute:
+    @pytest.mark.parametrize("params", params_grid())
+    @pytest.mark.parametrize("grid", [_fh_grid, _tail_grid], ids=["fh-density", "tail"])
+    def test_matches_former_route(self, params, grid):
+        h = grid(params)
+        _assert_matches_former_route(h, params)
+        assert np.any(f_H(h, params) > 0.0) and np.any(F_H(h, params) > 0.0)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(lam=st.floats(0.05, 100.0), p=st.integers(1, 5000), rho=st.floats(1e-3, 1.0),
+           log_u=st.lists(st.floats(-3.0, 8.0), min_size=1, max_size=8))
+    def test_matches_former_route_property(self, lam, p, rho, log_u):
+        params = HDensityParams(lam=lam, p=p, rho=rho)
+        _assert_matches_former_route(10.0 ** np.array(log_u) * (lam * params.a) ** 2, params)
+
+
 class TestHRule:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_h_rejected(self, bad):
@@ -383,6 +473,17 @@ class TestHRule:
         values = f_H(h, LAM20)
         assert np.all(np.isfinite(values) & (values >= 0.0))
         assert np.all(s0(h, LAM20) > 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_h_at_small_unit(self):
+        # With (lam a)^2 = 0.0225 < 1, u = h / (lam a)^2 overflowed at h = 1e308:
+        # s0 and s_star read 0.0 and f_H and F_H warned. The roots now come from
+        # r = (lam a)^2 / h, which only underflows.
+        params = params_grid()[0]
+        assert s0(1e308, params) == pytest.approx(0.5 / 1e154, rel=1e-12)
+        assert s_star(1e308, 1.0, params) == pytest.approx(0.5 / 1e154, rel=1e-12)
+        assert f_H(1e308, params) == 0.0
+        assert abs(F_H(1e308, params) - 1.0) <= 1e-12
 
 
 def _joint(sm, sp, a):

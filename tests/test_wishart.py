@@ -55,7 +55,32 @@ class TestEigenvalueRoot:
             sample_wishart_scaled(np.ones((2, 2, 2)), 10, seed=0)
 
 
+def _former_draw(c_sqrt, n, seed):
+    # The Bartlett draw as built before the in-place form: index arrays for the
+    # lower triangle and a separate scaled copy of A. Kept as the oracle.
+    p = c_sqrt.shape[0]
+    rng = np.random.default_rng(seed)
+    a = np.zeros((p, p))
+    lower = np.tril_indices(p, -1)
+    a[lower] = rng.standard_normal(lower[0].size)
+    a[np.diag_indices(p)] = np.sqrt(rng.chisquare(n - np.arange(p, dtype=float)))
+    b = c_sqrt[:, None] * a if c_sqrt.ndim == 1 else c_sqrt @ a
+    return (b @ b.T) / n
+
+
 class TestBartlettSampling:
+    @pytest.mark.parametrize("p", [3, 50, 1000])
+    def test_matches_former_form_bitwise(self, p):
+        w = np.linspace(0.0, 4.0, p)
+        roots = [eigenvalue_root(w)]
+        if p <= 50:
+            roots.append(sqrt_psd(laplacian(sample_regular_graph(p, 2, seed=1)).matrix))
+        for root in roots:
+            for n in (p, 10 ** 8):
+                draw = sample_wishart_scaled(root, n, child_seed(5, p))
+                assert draw.tobytes() == _former_draw(root, n, child_seed(5, p)).tobytes()
+
+
     def test_n_below_p_rejected(self):
         with pytest.raises(ValueError, match="n >= p"):
             sample_wishart_scaled(np.eye(5), 4, seed=0)
