@@ -158,10 +158,10 @@ def _panels(edges):
 def _agreed(fine, coarse):
     # The fine sums, once each agrees with its coarse sum: relative above the
     # underflow scale, where sums lose digits; NaN fails.
-    bad = ~(np.abs(fine - coarse) <= np.maximum(_RULE_RTOL * np.abs(fine), _TINY))
-    if bad.any():
+    ok = np.abs(fine - coarse) <= np.maximum(_RULE_RTOL * np.abs(fine), _TINY)
+    if not ok.all():
         raise RuntimeError(
-            f"quadrature did not converge at {int(bad.sum())} of {bad.size} points: "
+            f"quadrature did not converge at {int((~ok).sum())} of {ok.size} points: "
             f"the two orders differ by more than {_RULE_RTOL:g} or the sum is not finite")
     return fine
 
@@ -229,11 +229,10 @@ def f_H(h, params):
     """
     def terms(x_star, _, x):
         # Twice J~(x_star, x) |dx_star/du|, with |dx/du| = x^3 / (2 + x), as one
-        # product; x^2 + x_star^2 + x x_star = (x + x_star)^2 - x x_star.
-        s = x + x_star
+        # product; x^2 + x_star^2 + x x_star = x (x + x_star) + x_star^2.
+        xs = x * (x + x_star)
         x2 = x_star * x_star
-        return (2.0 * _J_COEF * x) * s * (x2 * x2) / (2.0 + x_star) \
-            * np.exp(-_B * (s * s - x * x_star))
+        return 2.0 * _J_COEF * xs * (x2 * x2) / (2.0 + x_star) * np.exp(-_B * (xs + x2))
 
     return _half_arc_rule(h, params, terms) / _h_unit(params)
 

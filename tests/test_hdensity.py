@@ -421,8 +421,8 @@ def _assert_matches_former_route(h, params):
     # Values at or below the cut are exactly 0 on both routes. Else the fused
     # integrands, the roots from r = (lam a)^2 / h and the numpy erfc move values
     # by rounding, which a few ulp in x_eq or x_star carry into the Gaussian
-    # exponent E = B x_eq^2 (up to ~746). Measured: at most 4.4 eps (1 + E)
-    # relative (1.9e-13 at E ~ 700; 8.4e-14 on the fh-density grids) on the
+    # exponent E = B x_eq^2 (up to ~746). Measured: at most 4.8 eps (1 + E)
+    # relative (1.9e-13 at E ~ 700; 7.9e-14 on the fh-density grids) on the
     # fh-density and tail grids of params_grid and on 12,000 random (lam, a, u);
     # values below the smallest normal float keep few digits.
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
