@@ -12,10 +12,9 @@ closed form (``s0``, ``s_star``) from v = 1/u = (lam a)^2 / h, which cannot
 overflow, and f_H(h) = g(u) / (lam a)^2, F_H(h) = G(u) with g and G integrals
 over the half arc x in [x_eq, x_eq + 12] that take no parameters: their
 Gauss-Legendre panels and nodes are built once at import, each integrand is
-one array expression (F_H's erfc is Cody's rational approximation in numpy),
-both orders are summed by one product with a (nodes, 2) weight matrix and
-checked against each other, and the value is exactly 0 where x_eq passes one
-constant cut. ``tail_report`` verifies the large-h tail
+one array expression, both orders are summed by one product with a (nodes, 2)
+weight matrix and checked against each other, and the value is exactly 0 where
+x_eq passes one constant cut. ``tail_report`` verifies the large-h tail
 f_H = O(p^2/h^2) with a tail integral on the same two-order rule.
 ``sample_joint_gaps`` draws the joint gap surmise exactly, as the spacings of
 three GOE levels, and serves as an independent Monte-Carlo oracle.
@@ -184,9 +183,8 @@ def _over_h(h, rule):
 # The half arc x in [x_eq, x_eq + 12] has the panels x_eq + (0, 0.1, 1, 12)
 # for every h (J's Gaussian factor is below 1e-40 past 12 mean gaps), so its
 # nodes, as offsets from x_eq, are built once: both orders' nodes side by side
-# take one integrand call, and one product with the (nodes, 2) weight matrix
-# _ARC_W (fine weights, then coarse, each zero on the other order's nodes)
-# gives both sums.
+# take one integrand call, and one product with the (nodes, 2) weights _ARC_W
+# (each order's column zero on the other's nodes) gives both sums.
 (_FINE, _FINE_W), (_COARSE, _COARSE_W) = _panels(np.array([[0.0, 0.1, 1.0, 12.0]]))
 _ARC_NODES = np.hstack([_FINE, _COARSE])
 _ARC_W = np.zeros((_ARC_NODES.shape[1], 2))
@@ -200,11 +198,9 @@ _U_CUT = 2.0 * (1.0 / _X_CUT ** 2 + 1.0 / _X_CUT)
 
 
 def _half_arc_rule(h, params, terms):
-    # Sum terms(x_star, x_eq, x) over the half arc at each h, from v = 1/u =
-    # (lam a)^2 / h: x_eq = x(u/2) has r = v, and x_star = x(u - 1/x^2 - 1/x) <= x_eq.
-    # h is first raised to the cut _U_CUT (lam a)^2, where x_eq = _X_CUT and every
-    # term is already 0.0; below it, x_star^4 (f_H) or x^2 (F_H) would overflow
-    # into inf * 0.
+    # Sum terms(x_star, x_eq, x) over the half arc at each h, from v = 1/u: x_eq has
+    # r = v, x_star <= x_eq. h is raised to the cut _U_CUT (lam a)^2 first, where
+    # every term is already 0.0; below it, x_star^4 or x^2 overflow into inf * 0.
     h_cut = _U_CUT * _h_unit(params)
 
     def rule(h_col):
@@ -237,69 +233,9 @@ def f_H(h, params):
     return _half_arc_rule(h, params, terms) / _h_unit(params)
 
 
-# Cody's rational approximations to erf and erfc in double precision (W. J. Cody,
-# Math. Comp. 23 (1969) 631; the coefficients of his CALERF). With y = min(z, 4)
-# and w = 1 / max(z, 4)^2:
-#   z <= 0.46875:  erfc = 1 - y N1(y^2) / D1(y^2)
-#   z <= 4:        erfc = e^(-z^2) N2(y) / D2(y)
-#   z > 4:         erfc = e^(-z^2) (1/sqrt(pi) - w N3(w) / D3(w)) / z
-# Row k of _CODY holds the coefficients of power 8 - k of N1, D1, N2, D2, N3, D3
-# (zero above each one's degree), for Horner's rule in CALERF's order.
-_CODY = np.array([
-    [0.0, 0.0, 2.15311535474403846e-8, 1.0, 0.0, 0.0],
-    [0.0, 0.0, 5.64188496988670089e-1, 1.57449261107098347e01, 0.0, 0.0],
-    [0.0, 0.0, 8.88314979438837594e00, 1.17693950891312499e02, 0.0, 0.0],
-    [0.0, 0.0, 6.61191906371416295e01, 5.37181101862009858e02,
-     1.63153871373020978e-2, 1.0],
-    [1.85777706184603153e-1, 1.0, 2.98635138197400131e02, 1.62138957456669019e03,
-     3.05326634961232344e-1, 2.56852019228982242e00],
-    [3.16112374387056560e00, 2.36012909523441209e01, 8.81952221241769090e02,
-     3.29079923573345963e03, 3.60344899949804439e-1, 1.87295284992346725e00],
-    [1.13864154151050156e02, 2.44024637934444173e02, 1.71204761263407058e03,
-     4.36261909014324716e03, 1.25781726111229246e-1, 5.27905102951428412e-1],
-    [3.77485237685302021e02, 1.28261652607737228e03, 2.05107837782607147e03,
-     3.43936767414372164e03, 1.60837851487422766e-2, 6.05183413124413191e-2],
-    [3.20937758913846947e03, 2.84423683343917062e03, 1.23033935479799725e03,
-     1.23033935480374942e03, 6.58749161529837803e-4, 2.33520497626869185e-3],
-])[:, :, None]
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-# erfc(z) is below the smallest normal float past _ERFC_ZERO (CALERF's XBIG,
-# 26.543, rounded up to where erfc < 2^-1022), and is returned as 0 there.
-_ERFC_ZERO = 26.55
-# Arrays are taken in chunks of 8192: F_H on 200 points took 38 ms unchunked and
-# 32, 25 and 28 ms in chunks of 2048, 8192 and 16384 (the Python map of math.erfc
-# it replaced: 27 ms).
-_ERFC_CHUNK = 8192
-
-
 def _erfc(z):
-    # erfc of the array z >= 0, by the rational forms of _CODY: all six
-    # polynomials at once on a (6, n) array, with elementwise operations only, so
-    # that a value does not depend on the array it sits in (a BLAS product's
-    # does). e^(-z^2) is e^(-y0^2) e^(-(z - y0)(z + y0)) with y0 = floor(16 z) / 16,
-    # whose square is exact, as in CALERF: a rounded z^2 would cost up to 729 eps
-    # at z = 27. z is clamped at _ERFC_ZERO first, so that no step makes a
-    # subnormal, which costs x86 tens of times a normal operation.
-    flat = np.minimum(np.ravel(z), _ERFC_ZERO)
-    out = np.empty_like(flat)
-    for i in range(0, flat.size, _ERFC_CHUNK):
-        x = flat[i:i + _ERFC_CHUNK]
-        big = np.maximum(x, 4.0)
-        t = np.empty((6, x.size))
-        t[2] = t[3] = y = np.minimum(x, 4.0)
-        t[0] = t[1] = y * y
-        t[4] = t[5] = w = 1.0 / (big * big)
-        acc = _CODY[0] * t
-        for c in _CODY[1:-1]:
-            acc += c
-            acc *= t
-        num1, den1, num2, den2, num3, den3 = acc + _CODY[-1]
-        value = np.where(x > 4.0, (_INV_SQRT_PI - w * num3 / den3) / big, num2 / den2)
-        y0 = np.floor(16.0 * x) * 0.0625
-        value *= np.exp(-y0 * y0) * np.exp((y0 - x) * (x + y0))
-        out[i:i + _ERFC_CHUNK] = np.where(x <= 0.46875, 1.0 - y * num1 / den1,
-                                          np.where(x < _ERFC_ZERO, value, 0.0))
-    return out.reshape(np.shape(z))
+    # The C library's erfc, mapped over the array z.
+    return np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def _upper_mass(lo, x):
@@ -324,9 +260,7 @@ def F_H(h, params):
     """
     def terms(x_star, x_eq, x):
         # Both lower limits in one call; e^(-3 B x^2 / 4) once for both.
-        lo = np.empty((2,) + x.shape)
-        lo[0], lo[1] = x_star, x_eq
-        upper = _upper_mass(lo, x)
+        upper = _upper_mass(np.stack(np.broadcast_arrays(x_star, x_eq)), x)
         return (2.0 * upper[0] - upper[1]) * np.exp(-0.75 * _B * x * x)
 
     return _half_arc_rule(h, params, terms)

@@ -323,20 +323,11 @@ class TestErfcForm:
         assert np.any(oracle > 0)
         np.testing.assert_allclose(value, oracle, rtol=1e-12, atol=0.0)
 
-    def test_numpy_erfc_matches_libm_and_scipy(self):
-        # scipy's erfc returns 0 where libm's is still subnormal (z > 26.6), and so
-        # does _erfc past _ERFC_ZERO.
+    def test_libm_erfc_matches_scipy(self):
+        # scipy's erfc returns 0 where libm's is still subnormal (z > 26.6).
         z = np.linspace(0.0, 27.0, 54001)
-        libm = np.array([math.erfc(v) for v in z])
-        for oracle in (libm, special.erfc(z)):
-            np.testing.assert_allclose(_erfc(z), oracle, rtol=1e-13, atol=np.finfo(float).tiny)
-        # Each of Cody's three ranges and their two edges, in any array shape.
-        edges = np.array([[0.0, 0.46875, np.nextafter(0.46875, 1.0)],
-                          [4.0, np.nextafter(4.0, 5.0), hdensity._ERFC_ZERO]])
-        np.testing.assert_allclose(_erfc(edges), np.vectorize(math.erfc)(edges), rtol=1e-13,
+        np.testing.assert_allclose(_erfc(z), special.erfc(z), rtol=1e-13,
                                    atol=np.finfo(float).tiny)
-        assert _erfc(np.array([30.0, 1e300, np.inf])).tolist() == [0.0, 0.0, 0.0]
-        assert _erfc(np.empty((0, 3))).shape == (0, 3)
 
 
 def _assert_matches_physical_route(h, params):
@@ -419,10 +410,10 @@ def _former_route(h, params, cumulative):
 
 def _assert_matches_former_route(h, params):
     # Values at or below the cut are exactly 0 on both routes. Else the fused
-    # integrands, the roots from r = (lam a)^2 / h and the numpy erfc move values
-    # by rounding, which a few ulp in x_eq or x_star carry into the Gaussian
-    # exponent E = B x_eq^2 (up to ~746). Measured: at most 4.8 eps (1 + E)
-    # relative (1.9e-13 at E ~ 700; 7.9e-14 on the fh-density grids) on the
+    # integrands and the roots from r = (lam a)^2 / h move values by rounding,
+    # which a few ulp in x_eq or x_star carry into the Gaussian exponent
+    # E = B x_eq^2 (up to ~746). Measured: at most 4.6 eps (1 + E) relative
+    # (2.3e-13 at most; 7.9e-14 on the fh-density grids) on the
     # fh-density and tail grids of params_grid and on 12,000 random (lam, a, u);
     # values below the smallest normal float keep few digits.
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
