@@ -258,12 +258,9 @@ def F_H(h, params):
     closed form I(lo, x) = int_lo^inf J(y, x) dy; in mean gaps, G(u). Nondecreasing
     in h and -> 1 as h -> inf. ``h`` is a scalar (returns a float) or an array.
     """
-    def terms(x_star, x_eq, x):
-        # Both lower limits in one call; e^(-3 B x^2 / 4) once for both.
-        upper = _upper_mass(np.stack(np.broadcast_arrays(x_star, x_eq)), x)
-        return (2.0 * upper[0] - upper[1]) * np.exp(-0.75 * _B * x * x)
-
-    return _half_arc_rule(h, params, terms)
+    # _upper_mass leaves out e^(-3 B x^2 / 4), applied once to both terms.
+    return _half_arc_rule(h, params, lambda x_star, x_eq, x: (
+        2.0 * _upper_mass(x_star, x) - _upper_mass(x_eq, x)) * np.exp(-0.75 * _B * x * x))
 
 
 def f_H_mass(params):

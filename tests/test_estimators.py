@@ -94,7 +94,7 @@ class TestHHat:
             h_hat(2.0, 0.0, 1.0, 10, 0.1)
 
     def test_nan_and_nonfinite_inputs_rejected(self):
-        # NaN fails np.any(gap <= 0), so h_hat(20, nan, ...) used to return nan.
+        # NaN fails np.any(gap <= 0): a check in that form lets h_hat(20, nan, ...) return nan.
         nan, inf = float("nan"), float("inf")
         for sm, sp in [(nan, 0.1), (0.1, nan), (np.array([0.1, nan]), 0.1)]:
             with pytest.raises(ValueError, match="gaps must be positive"):

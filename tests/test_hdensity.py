@@ -467,9 +467,9 @@ class TestHRule:
 
     @pytest.mark.filterwarnings("error")
     def test_huge_h_at_small_unit(self):
-        # With (lam a)^2 = 0.0225 < 1, u = h / (lam a)^2 overflowed at h = 1e308:
-        # s0 and s_star read 0.0 and f_H and F_H warned. The roots now come from
-        # r = (lam a)^2 / h, which only underflows.
+        # (lam a)^2 = 0.0225 < 1, so u = h / (lam a)^2 overflows at h = 1e308 (s0
+        # and s_star would read 0.0, f_H and F_H warn); r = (lam a)^2 / h only
+        # underflows.
         params = params_grid()[0]
         assert s0(1e308, params) == pytest.approx(0.5 / 1e154, rel=1e-12)
         assert s_star(1e308, 1.0, params) == pytest.approx(0.5 / 1e154, rel=1e-12)
