@@ -14,6 +14,7 @@ threshold implied by the residual cap ||u - u_tilde||^2 <= 2.
 The predictors and the bootstrap take the population's eigenvalues
 (ascending, as ``eig_sym`` returns them), never its matrix: the bootstrap
 draws each replicate in C's eigenbasis, so it needs no eigenvectors either.
+Each checks that spectrum with ``spectral.checked_spectrum``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import eig_sym
+from .spectral import checked_spectrum, eig_sym
 from .wishart import child_seed, eigenvalue_root, sample_wishart_scaled
 
 # Unused here, but perfbench/spans.py wraps this binding by name.
@@ -58,23 +59,21 @@ class BootstrapResult:
 def h_exact(eigenvalues, i):
     """Exact error coefficient sum_{j != i} lam_i lam_j / (lam_i - lam_j)^2.
 
-    ``i`` is 1-based. Raises on tied eigenvalues (the sum diverges).
+    ``i`` is 1-based.
     """
-    ev = np.asarray(eigenvalues, dtype=float).ravel()
+    ev = checked_spectrum(eigenvalues)
     p = ev.size
     if not 1 <= i <= p:
         raise ValueError(f"index {i} out of range 1..{p}")
     lam = ev[i - 1]
     diff = lam - ev
     diff[i - 1] = np.inf
-    if np.any(diff == 0):
-        raise ValueError("tied eigenvalues: h is undefined")
     return float(np.sum(lam * ev / diff ** 2))
 
 
 def h_exact_all(eigenvalues, chunk=512):
     """All p exact coefficients with the O(p^2) double loop, row-chunked."""
-    ev = np.asarray(eigenvalues, dtype=float).ravel()
+    ev = checked_spectrum(eigenvalues)
     p = ev.size
     out = np.empty(p)
     for start in range(0, p, chunk):
@@ -82,8 +81,6 @@ def h_exact_all(eigenvalues, chunk=512):
         lam = ev[start:stop, None]
         diff = lam - ev[None, :]
         diff[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        if np.any(diff == 0):
-            raise ValueError("tied eigenvalues: h is undefined")
         out[start:stop] = np.sum(lam * ev[None, :] / diff ** 2, axis=1)
     return out
 
@@ -157,14 +154,9 @@ def bootstrap_error(eigenvalues, R, n, seed=0):
     eigenbasis (child seeds of ``seed`` keyed by replicate, so each
     replicate is reproducible in isolation), pairs sample eigenvectors with
     population ones in sorted-index order, and accumulates sign-aligned
-    residuals in replicate order; see ``replicate_residuals``. A matrix or
-    an unsorted spectrum raises ``ValueError``.
+    residuals in replicate order; see ``replicate_residuals``.
     """
-    ev = np.asarray(eigenvalues, dtype=float)
-    if ev.ndim != 1:
-        raise ValueError(f"need a 1-D spectrum, got an array of shape {ev.shape}")
-    if not np.all(np.diff(ev) >= 0):  # False for NaN too
-        raise ValueError("eigenvalues must be ascending")
+    ev = checked_spectrum(eigenvalues)
     if R < 1:
         raise ValueError("need at least one replicate")
     if n < 1:

@@ -19,8 +19,6 @@ __all__ = [
     "RegularGraph",
     "PopulationMatrix",
     "sample_regular_graph",
-    "adjacency_matrix",
-    "incidence_matrix",
     "laplacian",
     "population_matrix",
     "component_count",

@@ -41,8 +41,8 @@ __all__ = [
     "F_H",
     "f_H_mass",
     "sample_joint_gaps",
+    "push_h_samples",
     "h_min_scale",
-    "phi",
     "tail_integral",
     "tail_report",
 ]
@@ -361,20 +361,13 @@ class TailReport:
     u2_phi_ratio: float
 
 
-def tail_report(params, h_grid=None, n_points=25):
+def tail_report(params):
     """Fit the tail exponent of f_H and check the plateau of I(h).
 
-    The default grid spans [1e2, 1e4] times the phi-minimum scale; a custom
-    grid must start past 100x that scale and cover at least two decades.
+    The grid is 25 points spanning [1e2, 1e4] times the phi-minimum scale.
     """
     hms = h_min_scale(params)
-    if h_grid is None:
-        h_grid = np.geomspace(100.0 * hms, 1e4 * hms, n_points)
-    h_grid = np.asarray(h_grid, dtype=float)
-    if h_grid[0] < 100.0 * hms * (1.0 - 1e-9):
-        raise ValueError("tail grid must start at or above 100x the phi-minimum scale")
-    if h_grid[-1] < 100.0 * h_grid[0] * (1.0 - 1e-9):
-        raise ValueError("tail grid too narrow: need at least two decades")
+    h_grid = np.geomspace(100.0 * hms, 1e4 * hms, 25)
 
     fh = f_H(h_grid, params)
     slope = float(np.polyfit(np.log(h_grid), np.log(fh), 1)[0])

@@ -24,7 +24,6 @@ __all__ = [
     "wigner_surmise_pdf",
     "wigner_surmise_cdf",
     "joint_gap_pdf",
-    "gauss_rate",
 ]
 
 SYMMETRY_RTOL = 1e-10
@@ -181,22 +180,36 @@ class GapRecords(NamedTuple):
     s_plus: np.ndarray
 
 
+def checked_spectrum(eigenvalues):
+    """The spectrum as a 1-D float array, once it is finite, ascending and simple.
+
+    Every gap statistic here assumes a simple spectrum (h_i diverges as a gap
+    closes), so anything else raises ``ValueError``: an array that is not 1-D,
+    a NaN or infinite eigenvalue, a descending step, or a tie (a gap of
+    exactly 0).
+    """
+    ev = np.asarray(eigenvalues, dtype=float)
+    if ev.ndim != 1:
+        raise ValueError(f"need a 1-D spectrum, got an array of shape {ev.shape}")
+    gaps = np.diff(ev)
+    if not (np.isfinite(ev).all() and (gaps >= 0).all()):
+        raise ValueError("eigenvalues must be finite and ascending")
+    if not gaps.all():
+        raise ValueError("tied eigenvalues: spectrum is not simple")
+    return ev
+
+
 def extract_gap_records(eigenvalues, lambda0, delta):
     """Gap records for interior eigenvalues within |lambda_i - lambda0| < delta.
 
     Only indices with both a left and a right neighbor qualify (2 <= i <= p-1,
     1-based); ``extract_gap_records(ev, 0.0, np.inf)`` gives all of them.
-    Raises on tied eigenvalues, which break the simple-spectrum assumption
-    behind every gap statistic here, and on a descending step or a NaN.
+    The spectrum must pass ``checked_spectrum``.
     """
-    ev = np.asarray(eigenvalues, dtype=float).ravel()
+    ev = checked_spectrum(eigenvalues)
     if delta <= 0:
         raise ValueError("delta must be positive")
     diffs = np.diff(ev)
-    if not np.all(diffs >= 0):  # False for NaN too
-        raise ValueError("eigenvalues must be ascending")
-    if np.any(diffs == 0):
-        raise ValueError("tied eigenvalues: spectrum is not simple")
     inner = ev[1:-1]
     keep = np.abs(inner - lambda0) < delta
     return GapRecords(index=np.flatnonzero(keep) + 2, lam=inner[keep],
@@ -209,8 +222,8 @@ def wigner_surmise_pdf(s, p, rho):
     P(s) = (pi a^2 / 2) s exp(-pi a^2 s^2 / 4); mean spacing 1/(p rho).
     """
     a = p * rho
-    if a <= 0:
-        raise ValueError("p * rho must be positive")
+    if not 0 < a < np.inf:
+        raise ValueError("p * rho must be finite and positive")
     s = np.asarray(s, dtype=float)
     out = np.where(s >= 0, 0.5 * np.pi * a * a * s * np.exp(-0.25 * np.pi * (a * s) ** 2), 0.0)
     return float(out) if out.ndim == 0 else out
@@ -219,8 +232,8 @@ def wigner_surmise_pdf(s, p, rho):
 def wigner_surmise_cdf(s, p, rho):
     """Cumulative form of the Wigner surmise, 1 - exp(-pi (a s)^2 / 4)."""
     a = p * rho
-    if a <= 0:
-        raise ValueError("p * rho must be positive")
+    if not 0 < a < np.inf:
+        raise ValueError("p * rho must be finite and positive")
     s = np.asarray(s, dtype=float)
     out = np.where(s >= 0, -np.expm1(-0.25 * np.pi * (a * s) ** 2), 0.0)
     return float(out) if out.ndim == 0 else out
@@ -241,8 +254,8 @@ def joint_gap_pdf(s_minus, s_plus, p, rho):
     1e-12), so no renormalization is applied.
     """
     a = p * rho
-    if a <= 0:
-        raise ValueError("p * rho must be positive")
+    if not 0 < a < np.inf:
+        raise ValueError("p * rho must be finite and positive")
     sm = np.asarray(s_minus, dtype=float)
     sp = np.asarray(s_plus, dtype=float)
     coef = 3.0 ** 7 * a ** 5 / (32.0 * np.pi ** 3)

@@ -37,13 +37,15 @@ def eigenvalue_root(w):
 
     Eigenvalues slightly below zero are clamped to 0 (solver noise on
     singular matrices); anything below -1e-8*max|lambda| means the matrix is
-    not PSD and raises.
+    not PSD and raises, and so does a NaN or infinite eigenvalue. Ties are
+    legal.
     """
     w = np.asarray(w, dtype=float)
-    norm = np.abs(w).max() if w.size else 0.0
-    if norm > 0 and w.min() < -1e-8 * norm:
+    norm = np.abs(w).max(initial=0.0)
+    if not (np.isfinite(norm) and w.min(initial=0.0) >= -1e-8 * norm):
         raise ValueError(
-            f"matrix is not positive semi-definite: min eigenvalue {w.min():.3e}"
+            f"matrix is not positive semi-definite with finite eigenvalues: "
+            f"min {w.min():.3e}, max |lambda| {norm:.3e}"
         )
     return np.sqrt(np.clip(w, 0.0, None))
 

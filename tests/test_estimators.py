@@ -53,7 +53,7 @@ class TestHExact:
             h_exact_all([1.0, 2.0, 2.0])
 
     def test_index_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range"):
             h_exact([1.0, 2.0], 3)
 
 
@@ -188,13 +188,15 @@ class TestBootstrap:
         assert (res.n_mean <= 2.0 * 10).all()
 
     def test_n_below_p_rejected(self):
-        c = population_matrix(np.eye(5))
-        with pytest.raises(ValueError):
+        c = population_matrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+        with pytest.raises(ValueError, match="n >= p"):
             bootstrap_error(c.eigenvalues, R=2, n=3, seed=0)
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="replicate"):
             bootstrap_error(np.array([1.0, 2.0]), R=0, n=10)
+        with pytest.raises(ValueError, match="positive"):
+            bootstrap_error(np.array([1.0, 2.0]), R=1, n=0)
 
     def test_matrix_or_unsorted_spectrum_rejected(self):
         # The bootstrap reads only C's ascending spectrum; a matrix or a

@@ -699,10 +699,3 @@ class TestTail:
         assert rep.u1_phi_ratio == pytest.approx(1.0, abs=0.01)
         assert rep.u2_phi_ratio == pytest.approx(1.0, abs=0.01)
         assert rep.window[1] == pytest.approx(1e4 * h_min_scale(UNIT), rel=1e-9)
-
-    def test_grid_validation(self):
-        hms = h_min_scale(UNIT)
-        with pytest.raises(ValueError, match="100x"):
-            tail_report(UNIT, h_grid=np.geomspace(hms, 1e4 * hms, 10))
-        with pytest.raises(ValueError, match="narrow"):
-            tail_report(UNIT, h_grid=np.geomspace(100 * hms, 500 * hms, 10))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigerr import (
+    bootstrap_error,
     extract_gap_records,
     h_exact,
     h_exact_all,
@@ -74,3 +75,56 @@ def test_regime_violation_array_matches_scalar(n, h):
 def test_h_exact_all_matches_h_exact(ev, chunk):
     expected = [h_exact(ev, i) for i in range(1, len(ev) + 1)]
     np.testing.assert_allclose(h_exact_all(ev, chunk=chunk), expected, rtol=1e-12, atol=0.0)
+
+
+def _swapped(ev, k):
+    out = ev.copy()
+    out[[k, k + 1]] = out[[k + 1, k]]
+    return out
+
+
+# Each turns an ascending simple spectrum ev (p >= 2) into one the gap
+# statistics do not cover; ``at`` picks the place.
+CORRUPTIONS = {
+    "nan": lambda ev, at: np.insert(ev, at % (len(ev) + 1), np.nan),
+    "inf": lambda ev, at: np.insert(ev, at % (len(ev) + 1), np.inf),
+    "-inf": lambda ev, at: np.insert(ev, at % (len(ev) + 1), -np.inf),
+    "duplicate": lambda ev, at: np.insert(ev, at % len(ev), ev[at % len(ev)]),
+    "swap": lambda ev, at: _swapped(ev, at % (len(ev) - 1)),
+    "2-D": lambda ev, at: ev.reshape((1, -1) if at % 2 else (-1, 1)),
+}
+
+
+def _gap_statistics(ev):
+    # The four entry points that read a whole spectrum.
+    return [lambda: extract_gap_records(ev, 0.0, np.inf), lambda: h_exact(ev, 1),
+            lambda: h_exact_all(ev), lambda: bootstrap_error(ev, R=1, n=10 ** 6, seed=0)]
+
+
+@PROPERTY
+@given(ev=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40, unique=True).map(sorted),
+       kind=st.sampled_from(sorted(CORRUPTIONS)), at=st.integers(0, 40))
+@example(ev=[0.0, 1.0, 2.0], kind="inf", at=3)
+@example(ev=[1.0, 2.0, 3.0], kind="duplicate", at=1)
+def test_one_spectrum_guard(ev, kind, at):
+    ev = np.array(ev)
+    for statistic in _gap_statistics(ev):
+        statistic()
+    messages = set()
+    for statistic in _gap_statistics(CORRUPTIONS[kind](ev, at)):
+        with pytest.raises(ValueError) as raised:
+            statistic()
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+
+
+# Integer spectra: every gap is at least 1e-3 of the largest eigenvalue, so
+# rounding c * lambda moves each term of h by well under 1e-12.
+integer_spectra = st.lists(st.integers(1, 1000), max_size=40, unique=True).map(sorted)
+
+
+@PROPERTY
+@given(ev=integer_spectra, c=st.floats(1e-3, 1e3))
+def test_h_invariant_under_scaling(ev, c):
+    ev = np.array(ev, dtype=float)
+    np.testing.assert_allclose(h_exact_all(c * ev), h_exact_all(ev), rtol=1e-12, atol=0.0)

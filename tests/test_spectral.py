@@ -188,7 +188,7 @@ class TestGapRecords:
             extract_gap_records([1.0, 2.0, 2.0, 3.0], 2.0, 5.0)
 
     def test_nonpositive_delta_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="delta"):
             extract_gap_records([1.0, 2.0, 3.0], 2.0, 0.0)
 
 
@@ -222,11 +222,19 @@ class TestWignerSurmise:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_invalid_scale(self):
-        with pytest.raises(ValueError):
-            wigner_surmise_pdf(1.0, 10, 0.0)
+        # NaN passes a bare `a <= 0` test and inf made the cdf 1.0.
+        for surmise in (wigner_surmise_pdf, wigner_surmise_cdf):
+            for rho in (0.0, -0.1, np.nan, np.inf):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    surmise(1.0, 10, rho)
 
 
 class TestJointSurmise:
+    def test_invalid_scale(self):
+        for rho in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                joint_gap_pdf(1.0, 1.0, 10, rho)
+
     def test_vanishes_on_axes(self):
         assert joint_gap_pdf(0.0, 1.0, 10, 0.1) == 0.0
         assert joint_gap_pdf(1.0, 0.0, 10, 0.1) == 0.0

@@ -40,6 +40,17 @@ class TestEigenvalueRoot:
         with pytest.raises(ValueError, match="semi-definite"):
             eigenvalue_root([-0.5, 1.0])
 
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0]])
+    def test_nonfinite_rejected(self, w):
+        # These came back as [nan, 1.] and [1., inf].
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalue_root(w)
+
+    def test_ties_and_zeros_legal(self):
+        np.testing.assert_array_equal(eigenvalue_root(np.ones(3)), np.ones(3))
+        np.testing.assert_array_equal(eigenvalue_root(np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(eigenvalue_root([]), [])
+
     def test_diagonal_root_is_a_row_scaling(self):
         # A 1-D root draws D^(1/2) (A A^T / n) D^(1/2) from the same A as the
         # matrix np.diag(root).
