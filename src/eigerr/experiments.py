@@ -142,18 +142,68 @@ def _ensemble_density(spectra):
     return estimate_density(spectra[:, 1:])
 
 
-def _concat(records):
-    # One GapRecords holding each matrix's records in turn.
-    return GapRecords(*map(np.concatenate, zip(*records)))
-
-
 def _pool_gap_records(spectra, lambda0, delta):
-    return _concat([extract_gap_records(ev, lambda0, delta) for ev in spectra])
+    # Each matrix's records in turn, and the matrix (row of spectra) of each.
+    records = [extract_gap_records(ev, lambda0, delta) for ev in spectra]
+    matrix = np.repeat(np.arange(len(records)), [r.index.size for r in records])
+    return GapRecords(*map(np.concatenate, zip(*records))), matrix
+
+
+def _window_records(config, spectra):
+    # The pooled records within delta of lambda0; a runner needs at least one.
+    records, matrix = _pool_gap_records(spectra, config.lambda0, config.delta)
+    if not records.index.size:
+        raise RuntimeError(f"no eigenvalues within delta of lambda0={config.lambda0}")
+    return records, matrix
+
+
+def _mckay_at_lambda0(config):
+    rho = SpectralDensity.mckay(config.k)(config.lambda0)
+    if rho <= 0:
+        raise RuntimeError(f"McKay density vanishes at lambda0={config.lambda0}")
+    return rho
 
 
 ESTIMATE_COLUMNS = ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
                     "n_mean_error", "n_std_error", "regime_violation"]
 HDENSITY_COLUMNS = ["h", "f_H", "F_H"]
+
+
+def _at(per_matrix, matrix, index):
+    # Row `matrix`, 1-based `index` of a list of per-matrix (p,) arrays: the
+    # one place a per-index table reads a matrix's values.
+    return np.array(per_matrix)[matrix, index - 1]
+
+
+def _index_columns(config, spectra, density, records, matrix):
+    # One row per gap record; `matrix` indexes rows of `spectra`. The bootstrap
+    # columns stay empty until _bootstrap_columns fills them.
+    hx = _at([h_exact_all(ev) for ev in spectra], matrix, records.index)
+    local = (records.lam, records.s_minus, records.s_plus, config.p, density(records.lam))
+    return {
+        "matrix": matrix,
+        "index": records.index,
+        "lambda": records.lam,
+        "h_exact": hx,
+        "h_hat": h_hat(*local),
+        "h_hat_uncorrected": h_hat(*local, include_correction=False),
+        "n_mean_error": [None] * hx.size,
+        "n_std_error": [None] * hx.size,
+        "regime_violation": regime_violation(config.n[0], hx),
+    }
+
+
+def _bootstrap_columns(config, spectra, cols):
+    # Bootstraps each matrix from its own child seed, fills each row from its
+    # matrix's result and returns the results.
+    def boot(m):
+        seed = int(child_seed(config.seed, 1, m).generate_state(1)[0])
+        return bootstrap_error(spectra[m], config.R, config.n[0], seed=seed)
+
+    boots = _map_indexed(boot, len(spectra), config.threads)
+    cols["n_mean_error"] = _at([b.n_mean for b in boots], cols["matrix"], cols["index"])
+    cols["n_std_error"] = _at([b.n_std for b in boots], cols["matrix"], cols["index"])
+    return boots
 
 
 def _cell(v):
@@ -172,6 +222,10 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+
+
+def _write_columns(path, names, cols):
+    _write_csv(path, names, zip(*(cols[c] for c in names)))
 
 
 def _write_json(path, payload):
@@ -198,12 +252,10 @@ def _run_density(config, out):
 
 
 def _run_spacing(config, out):
+    rho = _mckay_at_lambda0(config)
     spectra, _ = _sample_ensemble(config)
-    records = _pool_gap_records(spectra, config.lambda0, config.delta)
-    if not records.index.size:
-        raise RuntimeError("no eigenvalues found in the spacing window")
+    records, _ = _window_records(config, spectra)
     _write_csv(out / "gaps.csv", ["index", "lambda", "s_minus", "s_plus"], zip(*records))
-    rho = SpectralDensity.mckay(config.k)(config.lambda0)
     normalized = config.p * records.s_plus
     # KS against the surmise for t = p*s with scale rho(lambda0).
     t_sorted = np.sort(normalized)
@@ -226,12 +278,10 @@ def _run_spacing(config, out):
 
 
 def _run_joint_gaps(config, out):
+    rho = _mckay_at_lambda0(config)
     spectra, _ = _sample_ensemble(config)
-    records = _pool_gap_records(spectra, config.lambda0, config.delta)
+    records, _ = _window_records(config, spectra)
     count = records.index.size
-    if not count:
-        raise RuntimeError("no eigenvalues found in the gap window")
-    rho = SpectralDensity.mckay(config.k)(config.lambda0)
     a = config.p * rho
     hi = 3.5 / a
     nb = 10
@@ -260,35 +310,12 @@ def _joint_cell_masses(edges, p, rho, refine=6):
     return pdf.reshape(nb, nb, -1).sum(axis=-1) * dx[:, None] * dx[None, :]
 
 
-def _bulk_estimate_columns(ev, density, n):
-    # ESTIMATE_COLUMNS for every interior index (two-sided gaps) of one
-    # spectrum; the bootstrap columns are left empty.
-    gaps = extract_gap_records(ev, 0.0, np.inf)
-    hx = h_exact_all(ev)[gaps.index - 1]
-    rho = density(gaps.lam)
-    empty = [None] * gaps.index.size
-    return {
-        "index": gaps.index,
-        "lambda": gaps.lam,
-        "h_exact": hx,
-        "h_hat": h_hat(gaps.lam, gaps.s_minus, gaps.s_plus, ev.size, rho),
-        "h_hat_uncorrected": h_hat(gaps.lam, gaps.s_minus, gaps.s_plus, ev.size, rho,
-                                   include_correction=False),
-        "n_mean_error": empty,
-        "n_std_error": empty,
-        "regime_violation": regime_violation(n, hx),
-    }
-
-
-def _write_estimates(path, columns):
-    _write_csv(path, ESTIMATE_COLUMNS, zip(*(columns[c] for c in ESTIMATE_COLUMNS)))
-
-
 def _run_hhat_vs_h(config, out):
     spectra, _ = _sample_ensemble(config)
-    density = _ensemble_density(spectra)
-    cols = _bulk_estimate_columns(spectra[0], density, config.n[0])
-    _write_estimates(out / "estimates.csv", cols)
+    # Every interior index of the first matrix, against the ensemble density.
+    cols = _index_columns(config, spectra[:1], _ensemble_density(spectra),
+                          *_pool_gap_records(spectra[:1], 0.0, np.inf))
+    _write_columns(out / "estimates.csv", ESTIMATE_COLUMNS, cols)
     hx, hh, hh0 = cols["h_exact"], cols["h_hat"], cols["h_hat_uncorrected"]
     log_corr = float(np.corrcoef(np.log(hx), np.log(hh))[0, 1])
     lower = hx <= np.median(hx)
@@ -301,20 +328,12 @@ def _run_hhat_vs_h(config, out):
     return ["estimates.csv", "stats.json"]
 
 
-def _bootstrap(config, ev, m):
-    # Matrix m's replicates draw from its own child seed.
-    return bootstrap_error(ev, config.R, config.n[0],
-                           seed=int(child_seed(config.seed, 1, m).generate_state(1)[0]))
-
-
 def _run_bootstrap_vs_hhat(config, out):
     spectra, _ = _sample_ensemble(config)
-    density = _ensemble_density(spectra)
-    result = _bootstrap(config, spectra[0], 0)
-    cols = _bulk_estimate_columns(spectra[0], density, config.n[0])
-    i = cols["index"] - 1
-    cols["n_mean_error"], cols["n_std_error"] = result.n_mean[i], result.n_std[i]
-    _write_estimates(out / "estimates.csv", cols)
+    cols = _index_columns(config, spectra[:1], _ensemble_density(spectra),
+                          *_pool_gap_records(spectra[:1], 0.0, np.inf))
+    (result,) = _bootstrap_columns(config, spectra[:1], cols)
+    _write_columns(out / "estimates.csv", ESTIMATE_COLUMNS, cols)
     ok = ~cols["regime_violation"]
     rel = np.abs(cols["n_mean_error"][ok] / cols["h_hat"][ok] - 1.0)
     _write_json(out / "stats.json", {
@@ -343,42 +362,23 @@ def _run_fh_density(config, out):
             f"empirical density vanishes at lambda0={config.lambda0}; "
             "choose a window inside the bulk")
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
-
-    records = [extract_gap_records(ev, config.lambda0, config.delta) for ev in spectra]
-    pooled = _concat(records)
-    if not pooled.index.size:
-        raise RuntimeError("no eigenvalues found in the window")
-    matrix = np.repeat(np.arange(len(spectra)), [r.index.size for r in records])
-    # Picks each pooled record's value out of a stacked (M, p) per-index array.
-    at = (matrix, pooled.index - 1)
-
-    h_emp = np.array([h_exact_all(ev) for ev in spectra])[at]
-    hh = h_hat(pooled.lam, pooled.s_minus, pooled.s_plus, config.p, density(pooled.lam))
-    _write_csv(out / "h_empirical.csv", ["matrix", "index", "lambda", "h_exact", "h_hat"],
-               zip(matrix, pooled.index, pooled.lam, h_emp, hh))
-
-    boots = _map_indexed(lambda m: _bootstrap(config, spectra[m], m), len(spectra),
-                         config.threads)
-    _write_csv(out / "bootstrap.csv", ["matrix", "index", "lambda", "n_mean_error", "n_std_error"],
-               zip(matrix, pooled.index, pooled.lam,
-                   np.array([b.n_mean for b in boots])[at],
-                   np.array([b.n_std for b in boots])[at]))
-
+    cols = _index_columns(config, spectra, density, *_window_records(config, spectra))
+    _write_columns(out / "h_empirical.csv", ["matrix", "index", "lambda", "h_exact", "h_hat"], cols)
+    _bootstrap_columns(config, spectra, cols)
+    _write_columns(out / "bootstrap.csv",
+                   ["matrix", "index", "lambda", "n_mean_error", "n_std_error"], cols)
     _write_fh_table(out / "fh.csv", _fh_grid(params), params)
-
     _write_json(out / "stats.json", {
         "rho_at_lambda0": rho0,
-        "window_count": h_emp.size,
-        "median_h_empirical": float(np.median(h_emp)),
-        "regime_violation_fraction": float(np.mean(regime_violation(config.n[0], h_emp))),
+        "window_count": cols["h_exact"].size,
+        "median_h_empirical": float(np.median(cols["h_exact"])),
+        "regime_violation_fraction": float(np.mean(cols["regime_violation"])),
     })
     return ["h_empirical.csv", "bootstrap.csv", "fh.csv", "stats.json"]
 
 
 def _run_tail(config, out):
-    rho = SpectralDensity.mckay(config.k)(config.lambda0)
-    if rho <= 0:
-        raise RuntimeError(f"McKay density vanishes at lambda0={config.lambda0}")
+    rho = _mckay_at_lambda0(config)
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho)
     report = tail_report(params)
     _write_json(out / "tail.json", {
@@ -467,7 +467,7 @@ def validate(config):
     density = _ensemble_density(spectra)
     warnings = []
 
-    records = _pool_gap_records(spectra, config.lambda0, config.delta)
+    records, _ = _pool_gap_records(spectra, config.lambda0, config.delta)
     pilot_h = None
     if records.index.size:
         rho0 = float(density(config.lambda0))
@@ -486,7 +486,7 @@ def validate(config):
 
     rates = {}
     for label, d in (("half", config.delta / 2), ("base", config.delta), ("double", config.delta * 2)):
-        pooled = records if label == "base" else _pool_gap_records(spectra, config.lambda0, d)
+        pooled = records if label == "base" else _pool_gap_records(spectra, config.lambda0, d)[0]
         rates[label] = pooled.index.size / (2.0 * d * pilot_count)
     if rates["base"] > 0:
         for label in ("half", "double"):

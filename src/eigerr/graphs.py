@@ -40,7 +40,6 @@ class RegularGraph:
     p: int
     k: int
     edges: np.ndarray
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,7 @@ def sample_regular_graph(p, k, seed):
         if taken is not None:
             edges = np.column_stack(np.divmod(np.flatnonzero(taken), p))
             edges.flags.writeable = False
-            return RegularGraph(p=p, k=k, edges=edges,
-                                seed=seed if isinstance(seed, int) else None)
+            return RegularGraph(p=p, k=k, edges=edges)
     raise RuntimeError(
         f"could not build a simple {k}-regular graph on {p} vertices "
         f"after {MAX_RESTARTS} restarts"

@@ -207,8 +207,8 @@ def extract_gap_records(eigenvalues, lambda0, delta):
     The spectrum must pass ``checked_spectrum``.
     """
     ev = checked_spectrum(eigenvalues)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (0 < delta <= np.inf and np.isfinite(lambda0)):  # False for NaN too
+        raise ValueError("need a finite lambda0 and a positive delta (inf for all)")
     diffs = np.diff(ev)
     inner = ev[1:-1]
     keep = np.abs(inner - lambda0) < delta
@@ -216,14 +216,20 @@ def extract_gap_records(eigenvalues, lambda0, delta):
                       s_minus=diffs[:-1][keep], s_plus=diffs[1:][keep])
 
 
+def _gap_scale(p, rho):
+    # a = p*rho, the inverse mean gap; the chained test is False for NaN too.
+    a = p * rho
+    if not 0 < a < np.inf:
+        raise ValueError("p * rho must be finite and positive")
+    return a
+
+
 def wigner_surmise_pdf(s, p, rho):
     """Wigner surmise for nearest-neighbor spacings at scale a = p*rho.
 
     P(s) = (pi a^2 / 2) s exp(-pi a^2 s^2 / 4); mean spacing 1/(p rho).
     """
-    a = p * rho
-    if not 0 < a < np.inf:
-        raise ValueError("p * rho must be finite and positive")
+    a = _gap_scale(p, rho)
     s = np.asarray(s, dtype=float)
     out = np.where(s >= 0, 0.5 * np.pi * a * a * s * np.exp(-0.25 * np.pi * (a * s) ** 2), 0.0)
     return float(out) if out.ndim == 0 else out
@@ -231,9 +237,7 @@ def wigner_surmise_pdf(s, p, rho):
 
 def wigner_surmise_cdf(s, p, rho):
     """Cumulative form of the Wigner surmise, 1 - exp(-pi (a s)^2 / 4)."""
-    a = p * rho
-    if not 0 < a < np.inf:
-        raise ValueError("p * rho must be finite and positive")
+    a = _gap_scale(p, rho)
     s = np.asarray(s, dtype=float)
     out = np.where(s >= 0, -np.expm1(-0.25 * np.pi * (a * s) ** 2), 0.0)
     return float(out) if out.ndim == 0 else out
@@ -253,9 +257,7 @@ def joint_gap_pdf(s_minus, s_plus, p, rho):
     The prefactor normalizes the density exactly (verified numerically to
     1e-12), so no renormalization is applied.
     """
-    a = p * rho
-    if not 0 < a < np.inf:
-        raise ValueError("p * rho must be finite and positive")
+    a = _gap_scale(p, rho)
     sm = np.asarray(s_minus, dtype=float)
     sp = np.asarray(s_plus, dtype=float)
     coef = 3.0 ** 7 * a ** 5 / (32.0 * np.pi ** 3)

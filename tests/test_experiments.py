@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from eigerr import HDensityParams, SpectralDensity, extract_gap_records, tail_report
+from eigerr import bootstrap_error, h_exact
 from eigerr import experiments, laplacian, sample_regular_graph
 from eigerr.wishart import child_seed
 from eigerr.cli import _resolve, build_parser, main
@@ -171,6 +172,33 @@ class TestRunners:
         stats = json.loads((tmp_path / "stats.json").read_text(), parse_constant=reject)
         assert stats["indices_in_regime"] == 0
         assert stats["median_rel_deviation"] is None
+
+    def test_rows_belong_to_their_index(self, tmp_path):
+        # Each per-index row holds its own matrix's values at its own index,
+        # recomputed here one matrix and one index at a time.
+        n, cfg = 10 ** 6, ExperimentConfig(**SMALL)
+        spectra = [laplacian(sample_regular_graph(cfg.p, cfg.k, child_seed(cfg.seed, 0, m)))
+                   .eigenvalues for m in range(cfg.M)]
+        boots = [bootstrap_error(ev, cfg.R, n, seed=int(child_seed(cfg.seed, 1, m).generate_state(1)[0]))
+                 for m, ev in enumerate(spectra)]
+        for experiment in ("fh-density", "bootstrap-vs-hhat"):
+            run(experiment, ExperimentConfig(out=tmp_path / experiment, n=(n,), **SMALL))
+
+        def rows(name):
+            return list(csv.DictReader((tmp_path / name).read_text().splitlines()))
+
+        h_rows, b_rows = rows("fh-density/h_empirical.csv"), rows("fh-density/bootstrap.csv")
+        assert [(r["matrix"], r["index"]) for r in h_rows] == [(r["matrix"], r["index"]) for r in b_rows]
+        assert {r["matrix"] for r in h_rows} == {"0", "1", "2"}
+        # bootstrap-vs-hhat tabulates every interior index of matrix 0.
+        estimates = rows("bootstrap-vs-hhat/estimates.csv")
+        assert [int(r["index"]) for r in estimates] == list(range(2, cfg.p))
+        for h_row, b_row in [*zip(h_rows, b_rows), *((dict(r, matrix="0"), r) for r in estimates)]:
+            m, i = int(h_row["matrix"]), int(h_row["index"])
+            assert float(h_row["lambda"]) == float(b_row["lambda"]) == spectra[m][i - 1]
+            assert float(h_row["h_exact"]) == pytest.approx(h_exact(spectra[m], i), rel=1e-12)
+            assert float(b_row["n_mean_error"]) == boots[m].n_mean[i - 1]
+            assert float(b_row["n_std_error"]) == boots[m].n_std[i - 1]
 
     def test_every_output_has_header(self, tmp_path):
         cfg = ExperimentConfig(out=tmp_path, n=(10 ** 6,), **SMALL)
@@ -340,14 +368,26 @@ class TestCli:
         assert code == 1
 
     def test_runtime_error_exit_two(self, tmp_path, capsys):
-        # lambda0 far outside the bulk: fh-density cannot evaluate the density
-        code = main(["run", "fh-density", "--p", "60", "--k", "4", "--M", "2",
-                     "--R", "1", "--n", "1e3", "--lambda0", "50", "--seed", "5",
-                     "--out", str(tmp_path)])
-        assert code == 2
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "RuntimeError"
-        assert record["experiment"] == "fh-density"
+        cases = [
+            # lambda0 far outside the bulk: fh-density cannot evaluate the density
+            ("fh-density", "50", "1", "empirical density vanishes at lambda0=50.0;"),
+            # just past the McKay edge 4 + 2 sqrt(3), with eigenvalues in the window
+            ("spacing", "7.6", "1", "McKay density vanishes at lambda0=7.6"),
+            ("joint-gaps", "7.6", "1", "McKay density vanishes at lambda0=7.6"),
+            # inside the bulk, but too narrow a window to hold an eigenvalue
+            ("spacing", "4", "1e-9", "no eigenvalues within delta of lambda0=4.0"),
+            ("joint-gaps", "4", "1e-9", "no eigenvalues within delta of lambda0=4.0"),
+            ("fh-density", "4", "1e-9", "no eigenvalues within delta of lambda0=4.0"),
+        ]
+        for i, (experiment, lambda0, delta, message) in enumerate(cases):
+            code = main(["run", experiment, "--p", "60", "--k", "4", "--M", "2",
+                         "--R", "1", "--n", "1e3", "--lambda0", lambda0, "--delta", delta,
+                         "--seed", "5", "--out", str(tmp_path / str(i))])
+            assert code == 2
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "RuntimeError"
+            assert record["message"].startswith(message)
+            assert record["experiment"] == experiment
 
     def test_env_override_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EIGERR_P", "10")

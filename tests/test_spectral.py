@@ -182,14 +182,19 @@ class TestGapRecords:
     def test_boundary_indices_excluded(self):
         recs = extract_gap_records([1.0, 2.0, 3.0], 2.0, 10.0)
         assert recs.index.tolist() == [2]
+        # delta = inf is the all-interior call
+        assert extract_gap_records([1.0, 2.0, 3.0, 4.0], 0.0, np.inf).index.tolist() == [2, 3]
 
     def test_ties_rejected(self):
         with pytest.raises(ValueError, match="tied|simple"):
             extract_gap_records([1.0, 2.0, 2.0, 3.0], 2.0, 5.0)
 
     def test_nonpositive_delta_rejected(self):
-        with pytest.raises(ValueError, match="delta"):
-            extract_gap_records([1.0, 2.0, 3.0], 2.0, 0.0)
+        # NaN passes a bare `delta <= 0` test, and a NaN lambda0 gave empty records.
+        for lambda0, delta in ((2.0, 0.0), (2.0, -1.0), (2.0, np.nan), (np.nan, 1.0),
+                               (np.inf, 1.0), (-np.inf, np.inf)):
+            with pytest.raises(ValueError, match="finite lambda0 and a positive delta"):
+                extract_gap_records([1.0, 2.0, 3.0], lambda0, delta)
 
 
 class TestWignerSurmise:
