@@ -19,9 +19,16 @@ from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run, valida
 ENV_PREFIX = "EIGERR_"
 
 
+def _count(text):
+    # int() first keeps every digit of a seed above 2**53; ExperimentConfig judges 60.5.
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _parse_n(text):
-    # Floats pass through as they are; ExperimentConfig refuses 1000.5.
-    values = tuple(float(part) for part in text.split(",") if part.strip())
+    values = tuple(_count(part) for part in text.split(",") if part.strip())
     if not values:
         raise ValueError("no sample counts given")
     return values
@@ -29,16 +36,16 @@ def _parse_n(text):
 
 _FLAGS = {
     # name, parser, help
-    "p": (int, "matrix size / vertex count"),
-    "k": (int, "graph degree"),
+    "p": (_count, "matrix size / vertex count"),
+    "k": (_count, "graph degree"),
     "n": (_parse_n, "sample count(s), comma separated, e.g. 1e7 or 1e3,1e4,1e5"),
-    "R": (int, "Wishart replicates per matrix"),
-    "M": (int, "matrices per ensemble"),
+    "R": (_count, "Wishart replicates per matrix"),
+    "M": (_count, "matrices per ensemble"),
     "lambda0": (float, "window center eigenvalue"),
     "delta": (float, "window half-width"),
-    "seed": (int, "master RNG seed"),
+    "seed": (_count, "master RNG seed"),
     "out": (str, "output directory"),
-    "threads": (int, "worker threads, one matrix per task (replicates run serially)"),
+    "threads": (_count, "worker threads, one matrix per task (replicates run serially)"),
 }
 
 
@@ -64,7 +71,7 @@ def _resolve(args):
             continue
         try:
             values[name] = caster(raw)
-        except (OverflowError, ValueError) as exc:  # e.g. --n inf
+        except ValueError as exc:  # e.g. --p abc
             raise ConfigError(f"bad value for --{name}: {raw!r}") from exc
     return ExperimentConfig(**values)
 
@@ -100,14 +107,8 @@ def main(argv=None):
 
     try:
         config = _resolve(args)
-        if args.command == "validate":
-            report = validate(config)
-            json.dump(report, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
-            return 0
-        manifest = run(args.experiment, config)
-        json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        result = validate(config) if args.command == "validate" else run(args.experiment, config)
+        print(json.dumps(result, indent=2, sort_keys=True))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -119,8 +120,7 @@ def main(argv=None):
             "command": args.command,
             "experiment": getattr(args, "experiment", None),
         }
-        json.dump(record, sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2
 
 

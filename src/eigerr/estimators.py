@@ -44,13 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Per-index scaled error statistics plus the crossing diagnostic.
+    """Raw (R, p) residuals, their per-index scaled statistics and crossings.
 
     ``crossing_count[i]`` counts replicates in which an adjacent sample
     eigenvector matched u_i better than its index partner did, the signature
     of a near-degenerate crossing where index pairing may swap vectors.
     """
 
+    residuals: np.ndarray
     n_mean: np.ndarray
     n_std: np.ndarray
     crossing_count: np.ndarray
@@ -151,10 +152,10 @@ def bootstrap_error(eigenvalues, R, n, seed=0):
 
     ``eigenvalues`` is the ascending spectrum of the population matrix C.
     Draws R scaled Wishart replicates at sample size n around C in its
-    eigenbasis (child seeds of ``seed`` keyed by replicate, so each
-    replicate is reproducible in isolation), pairs sample eigenvectors with
-    population ones in sorted-index order, and accumulates sign-aligned
-    residuals in replicate order; see ``replicate_residuals``.
+    eigenbasis (``child_seed(seed, r)`` for replicate r, so each replicate is
+    reproducible in isolation; ``seed`` may itself be a child seed), pairs
+    sample eigenvectors with population ones in sorted-index order, and keeps
+    each replicate's sign-aligned residuals; see ``replicate_residuals``.
     """
     ev = checked_spectrum(eigenvalues)
     if R < 1:
@@ -165,21 +166,21 @@ def bootstrap_error(eigenvalues, R, n, seed=0):
     if n < p:
         raise ValueError(f"need n >= p, got n={n}, p={p}")
     root = eigenvalue_root(ev)
-    scaled = np.empty((R, p))
+    residuals = np.empty((R, p))
     crossings = np.zeros(p, dtype=np.int64)
     for r in range(R):
-        residuals, crossing = replicate_residuals(root, n, child_seed(seed, r))
-        scaled[r] = n * residuals
+        residuals[r], crossing = replicate_residuals(root, n, child_seed(seed, r))
         crossings += crossing
+    scaled = n * residuals
     n_mean = scaled.mean(axis=0)
     n_std = scaled.std(axis=0, ddof=1) if R > 1 else np.zeros(p)
-    return BootstrapResult(n_mean=n_mean, n_std=n_std, crossing_count=crossings)
+    return BootstrapResult(residuals, n_mean, n_std, crossings)
 
 
 def sample_size_bound(h):
     """Minimal admissible sample count n >= h/2 for the error law to hold."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:  # False for NaN too
+        raise ValueError("h must be finite and positive")
     return h / 2.0
 
 

@@ -24,7 +24,7 @@ from .estimators import (
     h_exact_all,
     h_hat,
     regime_violation,
-    replicate_residuals,
+    sample_size_bound,
 )
 from .graphs import is_connected, laplacian, sample_regular_graph
 from .hdensity import F_H, HDensityParams, f_H, tail_report
@@ -37,7 +37,7 @@ from .spectral import (
     wigner_surmise_cdf,
     wigner_surmise_pdf,
 )
-from .wishart import child_seed, eigenvalue_root
+from .wishart import child_seed
 
 # Unused here, but perfbench/spans.py wraps these three bindings by name.
 from .spectral import eig_sym  # noqa: F401
@@ -395,12 +395,11 @@ def _run_bound_scatter(config, out):
     ev = spectra[0]
     hx = h_exact_all(ev)
     index = np.arange(1, ev.size + 1)
-    root = eigenvalue_root(ev)
     blocks = []  # the columns of each (n, replicate) pair, in file order
     for ni, n in enumerate(config.n):
         violation = regime_violation(n, hx)
-        for r in range(config.R):
-            res, _ = replicate_residuals(root, n, child_seed(config.seed, 2, ni, r))
+        boot = bootstrap_error(ev, config.R, n, seed=child_seed(config.seed, 2, ni))
+        for r, res in enumerate(boot.residuals):
             blocks.append(zip(repeat(n), repeat(r), index, ev, hx, res, n * res, violation))
     _write_csv(out / "bound_scatter.csv",
                ["n", "replicate", "index", "lambda", "h_exact",
@@ -468,17 +467,18 @@ def validate(config):
     warnings = []
 
     records, _ = _pool_gap_records(spectra, config.lambda0, config.delta)
-    pilot_h = None
+    pilot_h = bound_n = None
     if records.index.size:
         rho0 = float(density(config.lambda0))
         if rho0 > 0:
             hh = h_hat(records.lam, records.s_minus, records.s_plus, config.p, rho0)
             pilot_h = float(np.median(hh))
+            bound_n = sample_size_bound(pilot_h)
             for n in config.n:
                 if regime_violation(n, pilot_h):
                     warnings.append(
                         f"regime_violation: n={n} is below the bound "
-                        f"{pilot_h / 2.0:.3g} implied by the pilot estimate")
+                        f"{bound_n:.3g} implied by the pilot estimate")
         else:
             warnings.append("window_outside_bulk: density vanishes at lambda0")
     else:
@@ -499,7 +499,7 @@ def validate(config):
     return {
         "config": config.as_dict(),
         "pilot_h_hat": pilot_h,
-        "bound_n": None if pilot_h is None else pilot_h / 2.0,
+        "bound_n": bound_n,
         "record_rates_per_unit_delta": rates,
         "warnings": warnings,
         "ok": not warnings,

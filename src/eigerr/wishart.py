@@ -29,6 +29,10 @@ __all__ = [
 
 def child_seed(master_seed, *key):
     """Counter-based child seed: reproducible regardless of draw order."""
+    # A child seed as master extends its key: child_seed(child_seed(s, a), b)
+    # is child_seed(s, a, b).
+    if isinstance(master_seed, np.random.SeedSequence):
+        return child_seed(master_seed.entropy, *master_seed.spawn_key, *key)
     return np.random.SeedSequence(master_seed, spawn_key=tuple(int(x) for x in key))
 
 

@@ -173,6 +173,16 @@ class TestBootstrap:
                   for i in range(3)]
         np.testing.assert_allclose(res.n_mean, manual, rtol=1e-12)
 
+    def test_residuals_are_raw(self):
+        # residuals[r] is replicate r's unscaled residuals, and the statistics
+        # are taken from n * residuals
+        ev, n = np.array([1.0, 2.0, 3.5, 5.5, 8.0]), 10 ** 4
+        res = bootstrap_error(ev, R=3, n=n, seed=8)
+        assert res.residuals.shape == (3, 5)
+        assert ((res.residuals >= 0) & (res.residuals <= 2)).all()
+        np.testing.assert_array_equal(res.n_mean, (n * res.residuals).mean(axis=0))
+        np.testing.assert_array_equal(res.n_std, (n * res.residuals).std(axis=0, ddof=1))
+
     def test_n_scaling(self):
         # doubling n leaves n * mean residual statistically unchanged
         ev = np.array([1.0, 2.0, 3.5, 5.5, 8.0])
@@ -340,5 +350,6 @@ class TestBound:
         assert not regime_violation(1000, 30.0)
 
     def test_requires_positive(self):
-        with pytest.raises(ValueError):
-            sample_size_bound(0.0)
+        for h in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^h must be finite and positive$"):
+                sample_size_bound(h)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eigerr import HDensityParams, SpectralDensity, extract_gap_records, tail_report
-from eigerr import bootstrap_error, h_exact
+from eigerr import bootstrap_error, eigenvalue_root, h_exact, replicate_residuals
 from eigerr import experiments, laplacian, sample_regular_graph
 from eigerr.wishart import child_seed
 from eigerr.cli import _resolve, build_parser, main
@@ -200,6 +200,23 @@ class TestRunners:
             assert float(b_row["n_mean_error"]) == boots[m].n_mean[i - 1]
             assert float(b_row["n_std_error"]) == boots[m].n_std[i - 1]
 
+    def test_bound_scatter_rows_belong_to_their_replicate(self, tmp_path):
+        # Each (n, replicate) block of bound_scatter.csv holds that replicate's
+        # residuals in index order, recomputed here from its own child seed.
+        cfg = ExperimentConfig(out=tmp_path, n=(100, 10 ** 6), **SMALL)
+        run("bound-scatter", cfg)
+        ev = laplacian(sample_regular_graph(cfg.p, cfg.k, child_seed(cfg.seed, 0, 0))).eigenvalues
+        rows = list(csv.DictReader((tmp_path / "bound_scatter.csv").read_text().splitlines()))
+        assert len(rows) == len(cfg.n) * cfg.R * cfg.p
+        for ni, n in enumerate(cfg.n):
+            for r in range(cfg.R):
+                res, _ = replicate_residuals(eigenvalue_root(ev), n, child_seed(cfg.seed, 2, ni, r))
+                block = rows[(ni * cfg.R + r) * cfg.p:][:cfg.p]
+                assert [(int(b["n"]), int(b["replicate"]), int(b["index"])) for b in block] \
+                    == [(n, r, i) for i in range(1, cfg.p + 1)]
+                assert [float(b["residual"]) for b in block] == res.tolist()
+                assert [float(b["n_residual"]) for b in block] == (n * res).tolist()
+
     def test_every_output_has_header(self, tmp_path):
         cfg = ExperimentConfig(out=tmp_path, n=(10 ** 6,), **SMALL)
         run("bootstrap-vs-hhat", cfg)
@@ -353,15 +370,22 @@ class TestCli:
             assert not out.exists()
 
     def test_non_integral_n_exit_one(self, tmp_path, capsys):
-        code = main(["run", "density", "--p", "60", "--k", "4", "--n", "1000.5",
-                     "--out", str(tmp_path)])
-        assert code == 1
-        assert "n must be integral" in capsys.readouterr().err
-        assert not (tmp_path / "density.csv").exists()
+        # the CLI parses every count as the API takes it: ExperimentConfig refuses
+        for flags, name in ((["--p", "60", "--n", "1000.5"], "n"),
+                            (["--p", "60.5", "--n", "1000"], "p")):
+            code = main(["run", "density", *flags, "--k", "4", "--out", str(tmp_path)])
+            assert code == 1
+            assert f"{name} must be integral" in capsys.readouterr().err
+            assert not (tmp_path / "density.csv").exists()
 
     def test_n_list_in_scientific_notation(self):
         args = build_parser().parse_args(["validate", "--n", "1e3,2.5e3"])
         assert _resolve(args).n == (1000, 2500)
+        # every count flag takes the same notation, and an int keeps every digit
+        args = build_parser().parse_args(["validate", "--p", "1e2", "--seed", "9007199254740993"])
+        config = _resolve(args)
+        assert (config.p, config.seed) == (100, 2 ** 53 + 1)
+        assert type(config.p) is int
 
     def test_unknown_flag_value_exit_one(self, tmp_path, capsys):
         code = main(["run", "density", "--p", "abc", "--out", str(tmp_path)])

@@ -114,6 +114,15 @@ class TestBartlettSampling:
         np.testing.assert_array_equal(
             direct, sample_wishart_scaled(root, 20, child_seed(5, 7)))
 
+    def test_child_seed_composes(self):
+        # a child seed as master extends its key: bootstrap_error keys its
+        # replicates from a child seed that bound-scatter passes in
+        np.testing.assert_array_equal(child_seed(child_seed(5, 2, 1), 3).generate_state(4),
+                                      child_seed(5, 2, 1, 3).generate_state(4))
+        big = 2 ** 70 + 3  # an int master above 64 bits keeps all of its entropy
+        np.testing.assert_array_equal(child_seed(child_seed(big, 1), 2).generate_state(4),
+                                      child_seed(big, 1, 2).generate_state(4))
+
     def test_scalar_chi2_moments(self):
         # p=1: C_tilde = c * chi2_n / n
         c, n, reps = 2.5, 50, 10000
