@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import checked_spectrum, eig_sym
+from .spectral import _scalar_if_0d, checked_spectrum, eig_sym
 from .wishart import child_seed, eigenvalue_root, sample_wishart_scaled
 
 # Unused here, but perfbench/spans.py wraps this binding by name.
@@ -40,6 +40,8 @@ __all__ = [
     "sample_size_bound",
     "regime_violation",
 ]
+
+_ROW_BLOCK = 512  # h_exact_all's rows per block: its (rows, p) temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,13 @@ def h_exact(eigenvalues, i):
     return float(np.sum(lam * ev / diff ** 2))
 
 
-def h_exact_all(eigenvalues, chunk=512):
-    """All p exact coefficients with the O(p^2) double loop, row-chunked."""
+def h_exact_all(eigenvalues):
+    """All p exact coefficients with the O(p^2) double loop, in row blocks."""
     ev = checked_spectrum(eigenvalues)
     p = ev.size
     out = np.empty(p)
-    for start in range(0, p, chunk):
-        stop = min(start + chunk, p)
+    for start in range(0, p, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, p)
         lam = ev[start:stop, None]
         diff = lam - ev[None, :]
         diff[np.arange(stop - start), np.arange(start, stop)] = np.inf
@@ -106,7 +108,7 @@ def h_hat(lam, s_minus, s_plus, p, rho, include_correction=True):
     out = lam * lam * (1.0 / sm ** 2 + 1.0 / sp ** 2)
     if include_correction:
         out = out + lam * lam * p * rho * (1.0 / sm + 1.0 / sp)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_if_0d(out)
 
 
 def aligned_residual(u, u_tilde):
@@ -177,11 +179,20 @@ def bootstrap_error(eigenvalues, R, n, seed=0):
     return BootstrapResult(residuals, n_mean, n_std, crossings)
 
 
-def sample_size_bound(h):
-    """Minimal admissible sample count n >= h/2 for the error law to hold."""
-    if not 0 < h < np.inf:  # False for NaN too
+def _checked_h(h):
+    # h as a float array, once every entry is finite and positive.
+    h = np.asarray(h, dtype=float)
+    if not ((h > 0) & (h < np.inf)).all():  # NaN fails both
         raise ValueError("h must be finite and positive")
-    return h / 2.0
+    return h
+
+
+def sample_size_bound(h):
+    """Minimal admissible sample count n >= h/2 for the error law to hold.
+
+    ``h`` is a scalar (returns a float) or an array.
+    """
+    return _scalar_if_0d(_checked_h(h) / 2.0)
 
 
 def regime_violation(n, h):
@@ -190,6 +201,5 @@ def regime_violation(n, h):
     ``h`` is a scalar (returns a bool) or an array (returns a bool array).
     As n is positive, h <= 0 (or NaN) reads False.
     """
-    out = n < np.asarray(h, dtype=float) / 2.0
-    return bool(out) if out.ndim == 0 else out
+    return _scalar_if_0d(n < np.asarray(h, dtype=float) / 2.0)
 

@@ -60,9 +60,13 @@ def _integral(name, value):
     raise ConfigError(f"{name} must be integral, not {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by all experiments; `n` may carry several sample sizes."""
+    """Knobs shared by all experiments; `n` may carry several sample sizes.
+
+    Valid by construction: counts become ints, and one ``ConfigError`` names
+    every value out of range. Frozen, so it stays valid.
+    """
 
     p: int = 100
     k: int = 20
@@ -79,13 +83,11 @@ class ExperimentConfig:
         # A string is iterable too: "100" would become n=(1, 0, 0).
         if isinstance(self.n, (str, bytes)):
             raise ConfigError(f"n must be an integer or a sequence of integers, not {self.n!r}")
-        self.n = tuple(_integral("n", v)
-                       for v in (self.n if hasattr(self.n, "__iter__") else (self.n,)))
+        n = self.n if hasattr(self.n, "__iter__") else (self.n,)
+        object.__setattr__(self, "n", tuple(_integral("n", v) for v in n))
         for name in ("p", "k", "R", "M", "seed", "threads"):
-            setattr(self, name, _integral(name, getattr(self, name)))
-        self.out = Path(self.out)
-
-    def check(self):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        object.__setattr__(self, "out", Path(self.out))
         problems = []
         if self.p < 2:
             problems.append("p must be >= 2")
@@ -349,8 +351,8 @@ def _fh_grid(params, n_points=60):
     return np.geomspace(h_typ / 100.0, h_typ * 1000.0, n_points)
 
 
-def _write_fh_table(path, grid, params):
-    _write_csv(path, HDENSITY_COLUMNS, zip(grid, f_H(grid, params), F_H(grid, params)))
+def _write_fh_table(path, grid, fh, params):
+    _write_csv(path, HDENSITY_COLUMNS, zip(grid, fh, F_H(grid, params)))
 
 
 def _run_fh_density(config, out):
@@ -367,7 +369,8 @@ def _run_fh_density(config, out):
     _bootstrap_columns(config, spectra, cols)
     _write_columns(out / "bootstrap.csv",
                    ["matrix", "index", "lambda", "n_mean_error", "n_std_error"], cols)
-    _write_fh_table(out / "fh.csv", _fh_grid(params), params)
+    grid = _fh_grid(params)
+    _write_fh_table(out / "fh.csv", grid, f_H(grid, params), params)
     _write_json(out / "stats.json", {
         "rho_at_lambda0": rho0,
         "window_count": cols["h_exact"].size,
@@ -386,7 +389,7 @@ def _run_tail(config, out):
         "window": list(report.window),
         "plateau_spread": report.plateau_ratio_spread,
     })
-    _write_fh_table(out / "fh_tail.csv", np.geomspace(*report.window, 25), params)
+    _write_fh_table(out / "fh_tail.csv", report.h_grid, report.fh, params)
     return ["tail.json", "fh_tail.csv"]
 
 
@@ -437,8 +440,7 @@ def run(experiment, config):
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {sorted(EXPERIMENTS)}")
-    config.check()
-    out = Path(config.out)
+    out = config.out
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     outputs = EXPERIMENTS[experiment](config, out)
@@ -460,7 +462,6 @@ def validate(config):
     delta-normalized gap-record rate shifts by more than 20% under halving
     or doubling of delta.
     """
-    config.check()
     pilot_count = min(config.M, 5)
     spectra, _ = _sample_ensemble(config, count=pilot_count)
     density = _ensemble_density(spectra)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import h_hat
-from .spectral import gauss_rate
+from .estimators import _checked_h, h_hat
+from .spectral import _gap_scale, _scalar_if_0d, gauss_rate
 
 __all__ = [
     "HDensityParams",
@@ -64,10 +64,10 @@ class HDensityParams:
         # tail_report's plateau carries p^3, so a negative p would flip its sign.
         if not (isinstance(self.p, numbers.Integral) and self.p > 0):
             raise ValueError(f"p must be a positive integer, not {self.p!r}")
-        for name, value in (("lam", self.lam), ("rho", self.rho), ("p * rho", self.p * self.rho)):
+        for name, value in (("lam", self.lam), ("rho", self.rho)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
-        object.__setattr__(self, "a", float(self.p * self.rho))
+        object.__setattr__(self, "a", float(_gap_scale(self.p, self.rho)))
 
 
 def _h_unit(params):
@@ -89,17 +89,6 @@ def _unit_residual(v, x):
     return 1.0 - t - t / x
 
 
-def _checked_h(h):
-    h = np.asarray(h, dtype=float)
-    if not ((h > 0) & (h < math.inf)).all():  # NaN fails both
-        raise ValueError("h must be finite and positive")
-    return h
-
-
-def _float_if_0d(values):
-    return float(values) if values.ndim == 0 else values
-
-
 def s0(h, params):
     """Gap below which a single side already pushes the estimate past h.
 
@@ -107,7 +96,7 @@ def s0(h, params):
     s0 = x(u) / a with x(u) = (1 + sqrt(1 + 4u)) / (2u). Decreases in h.
     ``h`` is a scalar (returns a float) or an array.
     """
-    return _float_if_0d(_root(0.5 * _h_unit(params) / _checked_h(h)) / params.a)
+    return _scalar_if_0d(_root(0.5 * _h_unit(params) / _checked_h(h)) / params.a)
 
 
 def s_star(h, s_plus, params):
@@ -121,7 +110,7 @@ def s_star(h, s_plus, params):
     d_v = _unit_residual(v, params.a * np.asarray(s_plus, dtype=float))
     if not np.all(d_v > 0):
         raise ValueError("s_plus must exceed s0(h) for a positive root to exist")
-    return _float_if_0d(_root(0.5 * v / d_v) / params.a)
+    return _scalar_if_0d(_root(0.5 * v / d_v) / params.a)
 
 
 def ds_star_dh(h, s_plus, params):
@@ -177,7 +166,7 @@ def _over_h(h, rule):
     h = _checked_h(h)
     col = h.reshape(-1, 1)
     values = [rule(col[i:i + 64]) for i in range(0, max(len(col), 1), 64)]
-    return _float_if_0d(np.concatenate(values).reshape(h.shape))
+    return _scalar_if_0d(np.concatenate(values).reshape(h.shape))
 
 
 # The half arc x in [x_eq, x_eq + 12] has the panels x_eq + (0, 0.1, 1, 12)
@@ -305,7 +294,7 @@ def phi(u, params):
     u = np.asarray(u, dtype=float)
     lam2 = params.lam * params.lam
     out = gauss_rate(params.a) * (u + lam2) * (1.0 + params.lam / np.sqrt(u) + lam2 / u)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_if_0d(out)
 
 
 def h_min_scale(params):
@@ -347,18 +336,24 @@ def tail_integral(h, params):
 class TailReport:
     """Numeric verification of the large-h power law of f_H.
 
+    h_grid, fh: the fitted grid of h and f_H on it.
     fitted_slope: least-squares slope of log f_H against log h.
-    window: (h_lo, h_hi) of the fitted grid.
     plateau_ratio_spread: (max - min)/median of I(h) p^3 / h^(3/2).
     u1_phi_ratio / u2_phi_ratio: phi at the small/large asymptotic roots of
     phi(u) = h, divided by h, evaluated at the top of the window (both -> 1).
     """
 
+    h_grid: np.ndarray
+    fh: np.ndarray
     fitted_slope: float
-    window: tuple[float, float]
     plateau_ratio_spread: float
     u1_phi_ratio: float
     u2_phi_ratio: float
+
+    @property
+    def window(self):
+        """(h_lo, h_hi) of the fitted grid."""
+        return float(self.h_grid[0]), float(self.h_grid[-1])
 
 
 def tail_report(params):
@@ -381,8 +376,9 @@ def tail_report(params):
     u1 = c * lam2 * lam2 / h_top
     u2 = h_top / c
     return TailReport(
+        h_grid=h_grid,
+        fh=fh,
         fitted_slope=slope,
-        window=(float(h_grid[0]), h_top),
         plateau_ratio_spread=spread,
         u1_phi_ratio=float(phi(u1, params) / h_top),
         u2_phi_ratio=float(phi(u2, params) / h_top),

@@ -29,6 +29,12 @@ __all__ = [
 SYMMETRY_RTOL = 1e-10
 
 
+def _scalar_if_0d(out):
+    # The one return rule of every public numeric function: a scalar argument
+    # (shape ()) gives a Python scalar, an array argument an array of its shape.
+    return out.item() if out.ndim == 0 else out
+
+
 def eig_sym(m, eigvals_only=False):
     """Eigendecomposition of a symmetric matrix.
 
@@ -66,14 +72,11 @@ def mckay_density(lam, k, shift=0.0):
     edge2 = 4.0 * (k - 1.0)
     inside = mu * mu < edge2
     mu_in = np.where(inside, mu, 0.0)
-    out = np.where(
+    return _scalar_if_0d(np.where(
         inside,
         k * np.sqrt(edge2 - mu_in * mu_in) / (2.0 * np.pi * (k * k - mu_in * mu_in)),
         0.0,
-    )
-    if np.isscalar(lam):
-        return float(out)
-    return out
+    ))
 
 
 @dataclass(frozen=True)
@@ -105,13 +108,7 @@ class SpectralDensity:
     def __call__(self, lam):
         if self.kind == "analytic-mckay":
             return mckay_density(lam, self.k, self.shift)
-        lam = np.asarray(lam, dtype=float)
-        if self.grid.size == 1:
-            lo, hi = self.support
-            out = np.where((lam >= lo) & (lam <= hi), self.weights[0], 0.0)
-        else:
-            out = np.interp(lam, self.grid, self.weights, left=0.0, right=0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_if_0d(np.interp(lam, self.grid, self.weights, left=0.0, right=0.0))
 
 
 def estimate_density(pools, bin_width=None):
@@ -140,26 +137,20 @@ def estimate_density(pools, bin_width=None):
         raise ValueError("bin width must be positive")
 
     if hi - lo < bin_width:
-        # Degenerate pool: single bin around the data.
-        center = 0.5 * (lo + hi)
-        support = (center - bin_width / 2.0, center + bin_width / 2.0)
-        return SpectralDensity(
-            kind="empirical", support=support,
-            grid=np.array([center]), weights=np.array([1.0 / bin_width]),
-            bandwidth=float(bin_width),
-        )
-
-    nbins = int(np.ceil((hi - lo) / bin_width))
-    edges = lo + bin_width * np.arange(nbins + 1)
-    edges[-1] = max(edges[-1], hi)  # guard against float shortfall
-    hists = [np.histogram(pool, bins=edges, density=True)[0] for pool in pools]
-    weights = np.mean(hists, axis=0)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-
-    total = np.trapezoid(weights, centers)
-    if total <= 0:
-        raise ValueError("degenerate histogram: zero total mass")
-    weights = weights / total
+        # Degenerate pool: a flat table of mass 1 over one bin width around the data.
+        centers = 0.5 * (lo + hi) + bin_width * np.array([-0.5, 0.5])
+        weights = np.full(2, 1.0 / bin_width)
+    else:
+        nbins = int(np.ceil((hi - lo) / bin_width))
+        edges = lo + bin_width * np.arange(nbins + 1)
+        edges[-1] = max(edges[-1], hi)  # guard against float shortfall
+        hists = [np.histogram(pool, bins=edges, density=True)[0] for pool in pools]
+        weights = np.mean(hists, axis=0)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        total = np.trapezoid(weights, centers)
+        if total <= 0:
+            raise ValueError("degenerate histogram: zero total mass")
+        weights = weights / total
     return SpectralDensity(
         kind="empirical", support=(float(centers[0]), float(centers[-1])),
         grid=centers, weights=weights, bandwidth=float(bin_width),
@@ -232,7 +223,7 @@ def wigner_surmise_pdf(s, p, rho):
     a = _gap_scale(p, rho)
     s = np.asarray(s, dtype=float)
     out = np.where(s >= 0, 0.5 * np.pi * a * a * s * np.exp(-0.25 * np.pi * (a * s) ** 2), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_if_0d(out)
 
 
 def wigner_surmise_cdf(s, p, rho):
@@ -240,7 +231,7 @@ def wigner_surmise_cdf(s, p, rho):
     a = _gap_scale(p, rho)
     s = np.asarray(s, dtype=float)
     out = np.where(s >= 0, -np.expm1(-0.25 * np.pi * (a * s) ** 2), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_if_0d(out)
 
 
 def gauss_rate(a):
@@ -264,5 +255,5 @@ def joint_gap_pdf(s_minus, s_plus, p, rho):
     b = gauss_rate(a)
     out = coef * sp * sm * (sp + sm) * np.exp(-b * (sp * sp + sm * sm + sp * sm))
     out = np.where((sm >= 0) & (sp >= 0), out, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_if_0d(out)
 

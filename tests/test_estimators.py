@@ -42,8 +42,10 @@ class TestHExact:
             assert alls[i - 1] == pytest.approx(h_exact(ev, i), rel=1e-12)
 
     def test_all_chunking(self, rng):
-        ev = np.sort(rng.uniform(0.5, 5.0, size=23))
-        np.testing.assert_allclose(h_exact_all(ev, chunk=4), h_exact_all(ev, chunk=100))
+        # p = 1000 spans two row blocks of 512; each row matches the oracle.
+        ev = np.sort(rng.uniform(0.5, 5.0, size=1000))
+        expected = [h_exact(ev, i) for i in range(1, ev.size + 1)]
+        np.testing.assert_allclose(h_exact_all(ev), expected, rtol=1e-12, atol=0.0)
 
     def test_ties_rejected(self):
         # a tie involving the queried eigenvalue divides by zero

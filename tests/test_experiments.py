@@ -1,6 +1,7 @@
 """Experiment runner and CLI: schemas, determinism, env overrides, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -35,26 +36,33 @@ def read_csv(path):
 class TestConfig:
     def test_pk_odd(self):
         with pytest.raises(ConfigError, match="even"):
-            ExperimentConfig(p=5, k=3).check()
+            ExperimentConfig(p=5, k=3)
+
+    def test_frozen(self):
+        # Valid by construction stays valid: no field can be set afterwards.
+        cfg = ExperimentConfig(p=10, k=2, n=(100,))
+        for name, value in (("p", 5), ("n", (1,)), ("threads", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
 
     def test_k_below_two(self):
         # A 1-regular graph has only the eigenvalues 0 and 2: every runner fails.
         for k in (1, 0, -2):
             with pytest.raises(ConfigError, match="need p > k >= 2"):
-                ExperimentConfig(p=20, k=k, n=(1000,)).check()
-        ExperimentConfig(p=20, k=2, n=(1000,)).check()
+                ExperimentConfig(p=20, k=k, n=(1000,))
+        ExperimentConfig(p=20, k=2, n=(1000,))
 
     def test_n_below_p(self):
         with pytest.raises(ConfigError, match="n >= p"):
-            ExperimentConfig(p=100, k=4, n=(50,)).check()
+            ExperimentConfig(p=100, k=4, n=(50,))
 
     def test_bad_delta(self):
         for delta in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="delta"):
-                ExperimentConfig(p=10, k=2, n=(100,), delta=delta).check()
+                ExperimentConfig(p=10, k=2, n=(100,), delta=delta)
         for lambda0 in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="lambda0 must be finite"):
-                ExperimentConfig(p=10, k=2, n=(100,), lambda0=lambda0).check()
+                ExperimentConfig(p=10, k=2, n=(100,), lambda0=lambda0)
 
     def test_scalar_n_normalized(self):
         cfg = ExperimentConfig(p=10, k=2, n=1000)
@@ -149,6 +157,9 @@ class TestRunners:
         report = tail_report(params)
         assert payload == {"slope": report.fitted_slope, "window": list(report.window),
                            "plateau_spread": report.plateau_ratio_spread}
+        # fh_tail.csv carries the report's own grid and f_H values.
+        rows = read_csv(tmp_path / "fh_tail.csv")[1:]
+        assert [(float(h), float(fh)) for h, fh, _ in rows] == list(zip(report.h_grid, report.fh))
 
     def test_determinism_across_runs_and_threads(self, tmp_path):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"

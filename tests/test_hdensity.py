@@ -241,7 +241,7 @@ def _upper_mass_erfcx(lo, x, params):
 
 def _tail_grid(params):
     # The h grid of the tail experiment's fh_tail.csv.
-    return np.geomspace(*tail_report(params).window, 25)
+    return tail_report(params).h_grid
 
 
 def _physical_route(h, params, cumulative):
