@@ -38,7 +38,7 @@ _FLAGS = {
     # name, parser, help
     "p": (_count, "matrix size / vertex count"),
     "k": (_count, "graph degree"),
-    "n": (_parse_n, "sample count(s), comma separated, e.g. 1e7 or 1e3,1e4,1e5"),
+    "n": (_parse_n, "sample count, e.g. 1e7; bound-scatter and validate take lists, 1e3,1e4"),
     "R": (_count, "Wishart replicates per matrix"),
     "M": (_count, "matrices per ensemble"),
     "lambda0": (float, "window center eigenvalue"),

@@ -2,8 +2,8 @@
 
 Two predictors for the expected scaled error n * E||u_i - u_tilde_i||^2:
 
-* ``h_exact``: the full double sum over eigenvalue pairs, needing all p
-  eigenvalues.
+* ``h_exact_all``: the full double sum over eigenvalue pairs for every index,
+  needing all p eigenvalues.
 * ``h_hat``: the large-p estimator built only from the eigenvalue, its two
   neighbor gaps, and the bulk density value p*rho(lambda).
 
@@ -31,7 +31,6 @@ from .wishart import sqrt_psd  # noqa: F401
 
 __all__ = [
     "BootstrapResult",
-    "h_exact",
     "h_exact_all",
     "h_hat",
     "aligned_residual",
@@ -57,21 +56,6 @@ class BootstrapResult:
     n_mean: np.ndarray
     n_std: np.ndarray
     crossing_count: np.ndarray
-
-
-def h_exact(eigenvalues, i):
-    """Exact error coefficient sum_{j != i} lam_i lam_j / (lam_i - lam_j)^2.
-
-    ``i`` is 1-based.
-    """
-    ev = checked_spectrum(eigenvalues)
-    p = ev.size
-    if not 1 <= i <= p:
-        raise ValueError(f"index {i} out of range 1..{p}")
-    lam = ev[i - 1]
-    diff = lam - ev
-    diff[i - 1] = np.inf
-    return float(np.sum(lam * ev / diff ** 2))
 
 
 def h_exact_all(eigenvalues):
@@ -111,6 +95,12 @@ def h_hat(lam, s_minus, s_plus, p, rho, include_correction=True):
     return _scalar_if_0d(out)
 
 
+def _residual(dots):
+    # The one residual formula: ||u - u_tilde||^2 = 2(1 - |<u, u_tilde>|) from
+    # the aligned |<u, u_tilde>|, clamped to [0, 2] against rounding.
+    return np.clip(2.0 * (1.0 - dots), 0.0, 2.0)
+
+
 def aligned_residual(u, u_tilde):
     """Squared eigenvector distance 2(1 - |<u, u_tilde>|) after sign alignment.
 
@@ -122,7 +112,7 @@ def aligned_residual(u, u_tilde):
     ut = np.asarray(u_tilde, dtype=float).ravel()
     if abs(np.linalg.norm(u) - 1.0) > 1e-8 or abs(np.linalg.norm(ut) - 1.0) > 1e-8:
         raise ValueError("inputs must be unit vectors")
-    return float(np.clip(2.0 * (1.0 - abs(float(u @ ut))), 0.0, 2.0))
+    return float(_residual(abs(float(u @ ut))))
 
 
 def replicate_residuals(root, n, seed):
@@ -141,7 +131,7 @@ def replicate_residuals(root, n, seed):
     """
     _, v = eig_sym(sample_wishart_scaled(root, n, seed))
     dots = np.abs(np.diagonal(v))
-    residuals = np.clip(2.0 * (1.0 - dots), 0.0, 2.0)
+    residuals = _residual(dots)
     # np.diagonal(v, 1)[i] = V_i,i+1 and np.diagonal(v, -1)[i] = V_i+1,i.
     crossing = np.zeros(dots.size, dtype=bool)
     crossing[:-1] |= np.abs(np.diagonal(v, 1)) > dots[:-1]

@@ -435,11 +435,13 @@ def run(experiment, config):
 
     Writes the experiment's data files plus `manifest.json` (config echo,
     output hashes, wall time) into config.out. Deterministic per seed and
-    thread count.
+    thread count. Only `bound-scatter` reads several n.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {sorted(EXPERIMENTS)}")
+    if experiment in ("hhat-vs-h", "bootstrap-vs-hhat", "fh-density") and len(config.n) > 1:
+        raise ConfigError(f"{experiment} reads one n, got {len(config.n)}: {list(config.n)}")
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

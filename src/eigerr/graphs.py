@@ -20,7 +20,6 @@ __all__ = [
     "PopulationMatrix",
     "sample_regular_graph",
     "laplacian",
-    "population_matrix",
     "component_count",
     "is_connected",
 ]
@@ -114,25 +113,6 @@ def sample_regular_graph(p, k, seed):
     )
 
 
-def adjacency_matrix(g):
-    """Dense 0/1 adjacency matrix."""
-    a = np.zeros((g.p, g.p))
-    u, v = g.edges.T
-    a[np.r_[u, v], np.r_[v, u]] = 1.0
-    return a
-
-
-def incidence_matrix(g):
-    """Signed vertex-by-edge incidence matrix with arbitrary edge orientation.
-
-    Satisfies X @ X.T == D - A exactly, which is the Laplacian identity
-    used as a reconstruction check.
-    """
-    x = np.zeros((g.p, len(g.edges)))
-    x[g.edges.T, np.arange(len(g.edges))] = [[1.0], [-1.0]]
-    return x
-
-
 def laplacian(g):
     """Unnormalized Laplacian C = D - A with its eigenvalues attached."""
     # One array: -1 on both entries of each edge, the degrees on the diagonal.
@@ -140,13 +120,7 @@ def laplacian(g):
     u, v = g.edges.T
     c[u, v] = c[v, u] = -1.0
     c[np.diag_indices(g.p)] = np.bincount(g.edges.ravel(), minlength=g.p)
-    return population_matrix(c)
-
-
-def population_matrix(matrix):
-    """Wrap a symmetric matrix with its sorted eigenvalues."""
-    return PopulationMatrix(matrix=np.asarray(matrix, dtype=float),
-                            eigenvalues=eig_sym(matrix, eigvals_only=True))
+    return PopulationMatrix(matrix=c, eigenvalues=eig_sym(c, eigvals_only=True))
 
 
 def component_count(g):

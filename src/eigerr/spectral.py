@@ -2,9 +2,9 @@
 and the GOE spacing surmises.
 
 Densities come in two flavors: the analytic McKay law for k-regular graph
-spectra (optionally shifted so it applies to Laplacian rather than adjacency
-eigenvalues) and an empirical ensemble-averaged histogram with linear
-interpolation between bin centers.
+spectra (``SpectralDensity.mckay`` shifts it by k, so it applies to Laplacian
+rather than adjacency eigenvalues) and an empirical ensemble-averaged
+histogram with linear interpolation between bin centers.
 """
 
 from __future__ import annotations
@@ -97,13 +97,12 @@ class SpectralDensity:
     bandwidth: float | None = None
 
     @classmethod
-    def mckay(cls, k, shift=None):
-        """Analytic McKay density; default shift k targets Laplacian spectra."""
-        if shift is None:
-            shift = float(k)
+    def mckay(cls, k):
+        """Analytic McKay density of the k-regular Laplacian spectrum (shift k)."""
+        shift = float(k)
         half = 2.0 * np.sqrt(k - 1.0)
         return cls(kind="analytic-mckay", support=(shift - half, shift + half),
-                   k=int(k), shift=float(shift))
+                   k=int(k), shift=shift)
 
     def __call__(self, lam):
         if self.kind == "analytic-mckay":

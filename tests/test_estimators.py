@@ -6,14 +6,13 @@ import pytest
 from eigerr import (
     aligned_residual,
     bootstrap_error,
-    h_exact,
     h_exact_all,
     h_hat,
-    population_matrix,
     regime_violation,
     replicate_residuals,
     sample_size_bound,
 )
+from oracles import h_exact, population
 
 
 class TestHExact:
@@ -153,7 +152,7 @@ class TestBootstrap:
     def test_diagonal_matches_h_exact(self):
         # well-separated spectrum, huge n: the asymptotic law is tight
         ev = np.array([1.0, 2.0, 3.5, 5.5, 8.0, 11.0])
-        c = population_matrix(np.diag(ev))
+        c = population(np.diag(ev))
         res = bootstrap_error(c.eigenvalues, R=50, n=10 ** 6, seed=31)
         hx = h_exact_all(ev)
         se = res.n_std / np.sqrt(50)
@@ -165,7 +164,7 @@ class TestBootstrap:
         from eigerr.spectral import eig_sym
         from eigerr.wishart import child_seed, sample_wishart_scaled, sqrt_psd
 
-        c = population_matrix(np.diag([1.0, 2.0, 4.0]))
+        c = population(np.diag([1.0, 2.0, 4.0]))
         res = bootstrap_error(c.eigenvalues, R=1, n=100, seed=5)
         assert (res.n_std == 0).all()
 
@@ -188,19 +187,19 @@ class TestBootstrap:
     def test_n_scaling(self):
         # doubling n leaves n * mean residual statistically unchanged
         ev = np.array([1.0, 2.0, 3.5, 5.5, 8.0])
-        c = population_matrix(np.diag(ev))
+        c = population(np.diag(ev))
         a = bootstrap_error(c.eigenvalues, R=60, n=10 ** 6, seed=8)
         b = bootstrap_error(c.eigenvalues, R=60, n=2 * 10 ** 6, seed=9)
         se = np.sqrt(a.n_std ** 2 + b.n_std ** 2) / np.sqrt(60)
         assert (np.abs(a.n_mean - b.n_mean) <= 4.0 * se).all()
 
     def test_residual_cap(self):
-        c = population_matrix(np.diag([1.0, 1.01, 1.02, 1.03]))
+        c = population(np.diag([1.0, 1.01, 1.02, 1.03]))
         res = bootstrap_error(c.eigenvalues, R=20, n=10, seed=2)
         assert (res.n_mean <= 2.0 * 10).all()
 
     def test_n_below_p_rejected(self):
-        c = population_matrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+        c = population(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
         with pytest.raises(ValueError, match="n >= p"):
             bootstrap_error(c.eigenvalues, R=2, n=3, seed=0)
 
@@ -213,7 +212,7 @@ class TestBootstrap:
     def test_matrix_or_unsorted_spectrum_rejected(self):
         # The bootstrap reads only C's ascending spectrum; a matrix or a
         # reversed spectrum must not run as if it were one.
-        c = population_matrix(np.diag([1.0, 2.0, 4.0]))
+        c = population(np.diag([1.0, 2.0, 4.0]))
         with pytest.raises(ValueError, match="1-D"):
             bootstrap_error(c.matrix, R=2, n=100)
         with pytest.raises(ValueError, match="ascending"):
@@ -225,7 +224,7 @@ def _rotated(ev, seed):
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(ev), len(ev))))
     q = q * np.sign(np.diag(r))
     m = (q * ev) @ q.T
-    return population_matrix((m + m.T) / 2.0)
+    return population((m + m.T) / 2.0)
 
 
 class TestEigenbasisBootstrap:
@@ -265,6 +264,21 @@ class TestEigenbasisBootstrap:
             np.testing.assert_array_equal(crossing, expected)
             crossed += int(crossing.sum())
         assert crossed > 0  # the close pairs do cross at n = 30
+
+    def test_residual_formula_shared_bit_for_bit(self):
+        # Diagonal C (U = I): u_i = e_i, so the eigenbasis residual of each
+        # replicate and aligned_residual(e_i, v_i) read the same |V_ii| and
+        # must agree exactly, not just to rounding.
+        from eigerr.spectral import eig_sym
+        from eigerr.wishart import child_seed, eigenvalue_root, sample_wishart_scaled
+
+        root = eigenvalue_root(self.EV)
+        eye = np.eye(self.EV.size)
+        for r in range(40):
+            seed = child_seed(12, r)
+            res, _ = replicate_residuals(root, 30, seed)
+            _, v = eig_sym(sample_wishart_scaled(root, 30, seed))
+            assert res.tolist() == [aligned_residual(eye[i], v[:, i]) for i in range(7)]
 
     def test_nondiagonal_matches_h_exact(self):
         ev = np.array([1.0, 2.0, 3.5, 5.5, 8.0, 11.0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eigerr import HDensityParams, SpectralDensity, extract_gap_records, tail_report
-from eigerr import bootstrap_error, eigenvalue_root, h_exact, replicate_residuals
+from eigerr import bootstrap_error, eigenvalue_root, replicate_residuals
 from eigerr import experiments, laplacian, sample_regular_graph
 from eigerr.wishart import child_seed
 from eigerr.cli import _resolve, build_parser, main
@@ -24,6 +24,7 @@ from eigerr.experiments import (
     run,
     validate,
 )
+from oracles import h_exact
 
 SMALL = dict(p=60, k=4, M=3, R=2, lambda0=4.0, delta=1.0, seed=5)
 
@@ -388,6 +389,18 @@ class TestCli:
             assert code == 1
             assert f"{name} must be integral" in capsys.readouterr().err
             assert not (tmp_path / "density.csv").exists()
+
+    def test_single_n_experiments_refuse_an_n_list(self, tmp_path, capsys):
+        # Each of these reads one n; a list would silently drop all but the
+        # first. The refusal names the experiment and comes before any file.
+        for experiment in ("hhat-vs-h", "bootstrap-vs-hhat", "fh-density"):
+            out = tmp_path / experiment
+            code = main(["run", experiment, "--p", "60", "--k", "4", "--M", "2", "--R", "2",
+                         "--n", "1e3,1e12", "--lambda0", "4", "--seed", "5", "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "config error" in err and experiment in err
+            assert not out.exists()
 
     def test_n_list_in_scientific_notation(self):
         args = build_parser().parse_args(["validate", "--n", "1e3,2.5e3"])

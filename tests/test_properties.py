@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from eigerr import (
     bootstrap_error,
     extract_gap_records,
-    h_exact,
     h_exact_all,
     regime_violation,
     sample_size_bound,
 )
+from oracles import h_exact
 
 # Fixed example sequence and no example database, so every run draws the same cases.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
