@@ -1,7 +1,8 @@
 """Experiment orchestration: desk-scale reproductions of the validation runs.
 
-Each experiment is a deterministic function of (config, seed) that writes
-analysis-ready CSV/JSON files plus a manifest with content hashes. Child RNG
+Each experiment is a deterministic function of (config, seed) that returns
+its analysis-ready CSV/JSON outputs; `run` alone serializes them, writes them
+and records their content hashes in a manifest. Child RNG
 seeds are derived from the master seed by counter-based keys per (matrix,
 replicate), so results are independent of execution order and thread count.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -159,10 +161,12 @@ def _window_records(config, spectra):
     return records, matrix
 
 
-def _mckay_at_lambda0(config):
-    rho = SpectralDensity.mckay(config.k)(config.lambda0)
+def _density_at(density, name, lambda0):
+    # The density at the window centre, which every law scaled by rho needs.
+    rho = float(density(lambda0))
     if rho <= 0:
-        raise RuntimeError(f"McKay density vanishes at lambda0={config.lambda0}")
+        raise RuntimeError(f"{name} density vanishes at lambda0={lambda0}; "
+                           "choose a window inside the bulk")
     return rho
 
 
@@ -218,46 +222,42 @@ def _cell(v):
     return repr(float(v))
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+def _csv_bytes(header, rows):
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return text.getvalue().encode()
 
 
-def _write_columns(path, names, cols):
-    _write_csv(path, names, zip(*(cols[c] for c in names)))
-
-
-def _write_json(path, payload):
-    # A non-finite number is not JSON: it raises here, before the file is
+def _json_bytes(payload):
+    # A non-finite number is not JSON: it raises here, before any file is
     # opened (exit 2). A statistic without data is None, written as null.
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
-def _run_density(config, out):
+def _table(cols, names):
+    # The (header, rows) of the named columns of a per-index table.
+    return names, zip(*(cols[c] for c in names))
+
+
+def _run_density(config):
     spectra, connected = _sample_ensemble(config)
     density = _ensemble_density(spectra)
     grid = density.grid
     mckay = SpectralDensity.mckay(config.k)
-    _write_csv(out / "density.csv", ["lambda", "rho_empirical", "rho_mckay"],
-               zip(grid.tolist(), density(grid).tolist(), mckay(grid).tolist()))
-    _write_json(out / "stats.json", {
-        "matrices": config.M,
-        "disconnected": int(sum(not c for c in connected)),
-        "bin_width": density.bandwidth,
-    })
-    return ["density.csv", "stats.json"]
+    return {
+        "density.csv": (["lambda", "rho_empirical", "rho_mckay"],
+                        zip(grid.tolist(), density(grid).tolist(), mckay(grid).tolist())),
+        "stats.json": {"matrices": config.M, "bin_width": density.bandwidth,
+                       "disconnected": int(sum(not c for c in connected))},
+    }
 
 
-def _run_spacing(config, out):
-    rho = _mckay_at_lambda0(config)
+def _run_spacing(config):
+    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0)
     spectra, _ = _sample_ensemble(config)
     records, _ = _window_records(config, spectra)
-    _write_csv(out / "gaps.csv", ["index", "lambda", "s_minus", "s_plus"], zip(*records))
     normalized = config.p * records.s_plus
     # KS against the surmise for t = p*s with scale rho(lambda0).
     t_sorted = np.sort(normalized)
@@ -267,20 +267,17 @@ def _run_spacing(config, out):
                                  np.abs(steps - 1.0 / t_sorted.size - cdf))))
     hist, edges = np.histogram(normalized, bins=50, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    _write_csv(out / "spacing.csv", ["s_normalized", "empirical_pdf", "surmise_pdf"],
-               zip(centers.tolist(),
-                   hist.tolist(),
-                   np.asarray(wigner_surmise_pdf(centers, 1.0, rho)).tolist()))
-    _write_json(out / "stats.json", {
-        "ks_statistic": ks,
-        "gap_count": records.index.size,
-        "rho_mckay": rho,
-    })
-    return ["gaps.csv", "spacing.csv", "stats.json"]
+    return {
+        "gaps.csv": (["index", "lambda", "s_minus", "s_plus"], zip(*records)),
+        "spacing.csv": (["s_normalized", "empirical_pdf", "surmise_pdf"],
+                        zip(centers.tolist(), hist.tolist(),
+                            np.asarray(wigner_surmise_pdf(centers, 1.0, rho)).tolist())),
+        "stats.json": {"ks_statistic": ks, "gap_count": records.index.size, "rho_mckay": rho},
+    }
 
 
-def _run_joint_gaps(config, out):
-    rho = _mckay_at_lambda0(config)
+def _run_joint_gaps(config):
+    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0)
     spectra, _ = _sample_ensemble(config)
     records, _ = _window_records(config, spectra)
     count = records.index.size
@@ -294,11 +291,12 @@ def _run_joint_gaps(config, out):
     p_mod = _joint_cell_masses(edges, config.p, rho)
     l1 = float(np.abs(p_emp - p_mod).sum() + abs(p_emp.sum() - p_mod.sum()))
     c_minus, c_plus = np.meshgrid(centers, centers, indexing="ij")
-    _write_csv(out / "joint_gaps.csv",
-               ["s_minus_center", "s_plus_center", "cell_prob_empirical", "cell_prob_surmise"],
-               zip(c_minus.ravel(), c_plus.ravel(), p_emp.ravel(), p_mod.ravel()))
-    _write_json(out / "stats.json", {"l1_distance": l1, "gap_count": count})
-    return ["joint_gaps.csv", "stats.json"]
+    return {
+        "joint_gaps.csv": (
+            ["s_minus_center", "s_plus_center", "cell_prob_empirical", "cell_prob_surmise"],
+            zip(c_minus.ravel(), c_plus.ravel(), p_emp.ravel(), p_mod.ravel())),
+        "stats.json": {"l1_distance": l1, "gap_count": count},
+    }
 
 
 def _joint_cell_masses(edges, p, rho, refine=6):
@@ -312,38 +310,46 @@ def _joint_cell_masses(edges, p, rho, refine=6):
     return pdf.reshape(nb, nb, -1).sum(axis=-1) * dx[:, None] * dx[None, :]
 
 
-def _run_hhat_vs_h(config, out):
+def _run_hhat_vs_h(config):
     spectra, _ = _sample_ensemble(config)
     # Every interior index of the first matrix, against the ensemble density.
     cols = _index_columns(config, spectra[:1], _ensemble_density(spectra),
                           *_pool_gap_records(spectra[:1], 0.0, np.inf))
-    _write_columns(out / "estimates.csv", ESTIMATE_COLUMNS, cols)
     hx, hh, hh0 = cols["h_exact"], cols["h_hat"], cols["h_hat_uncorrected"]
+    # On a PSD spectrum an interior h_i <= 0 needs a second near-zero eigenvalue.
+    (bad,) = np.nonzero(hx <= 0)
+    if bad.size:
+        raise RuntimeError(
+            f"h_exact is not positive at index {cols['index'][bad[0]]} ({hx[bad[0]]:.3g}): "
+            "the spectrum has more than one zero eigenvalue (a disconnected graph)")
     log_corr = float(np.corrcoef(np.log(hx), np.log(hh))[0, 1])
     lower = hx <= np.median(hx)
-    _write_json(out / "stats.json", {
-        "log_pearson_corr": log_corr,
-        "median_rel_err_corrected_lower_half": float(np.median(np.abs(hh[lower] / hx[lower] - 1.0))),
-        "median_rel_err_uncorrected_lower_half": float(np.median(np.abs(hh0[lower] / hx[lower] - 1.0))),
-        "bulk_indices": int(hx.size),
-    })
-    return ["estimates.csv", "stats.json"]
+    return {
+        "estimates.csv": _table(cols, ESTIMATE_COLUMNS),
+        "stats.json": {
+            "log_pearson_corr": log_corr,
+            "median_rel_err_corrected_lower_half": float(np.median(np.abs(hh[lower] / hx[lower] - 1.0))),
+            "median_rel_err_uncorrected_lower_half": float(np.median(np.abs(hh0[lower] / hx[lower] - 1.0))),
+            "bulk_indices": int(hx.size),
+        },
+    }
 
 
-def _run_bootstrap_vs_hhat(config, out):
+def _run_bootstrap_vs_hhat(config):
     spectra, _ = _sample_ensemble(config)
     cols = _index_columns(config, spectra[:1], _ensemble_density(spectra),
                           *_pool_gap_records(spectra[:1], 0.0, np.inf))
     (result,) = _bootstrap_columns(config, spectra[:1], cols)
-    _write_columns(out / "estimates.csv", ESTIMATE_COLUMNS, cols)
     ok = ~cols["regime_violation"]
     rel = np.abs(cols["n_mean_error"][ok] / cols["h_hat"][ok] - 1.0)
-    _write_json(out / "stats.json", {
-        "median_rel_deviation": float(np.median(rel)) if rel.size else None,
-        "indices_in_regime": int(ok.sum()),
-        "crossing_indices": int((result.crossing_count > 0).sum()),
-    })
-    return ["estimates.csv", "stats.json"]
+    return {
+        "estimates.csv": _table(cols, ESTIMATE_COLUMNS),
+        "stats.json": {
+            "median_rel_deviation": float(np.median(rel)) if rel.size else None,
+            "indices_in_regime": int(ok.sum()),
+            "crossing_indices": int((result.crossing_count > 0).sum()),
+        },
+    }
 
 
 def _fh_grid(params, n_points=60):
@@ -351,49 +357,43 @@ def _fh_grid(params, n_points=60):
     return np.geomspace(h_typ / 100.0, h_typ * 1000.0, n_points)
 
 
-def _write_fh_table(path, grid, fh, params):
-    _write_csv(path, HDENSITY_COLUMNS, zip(grid, fh, F_H(grid, params)))
+def _fh_table(grid, fh, params):
+    return HDENSITY_COLUMNS, zip(grid, fh, F_H(grid, params))
 
 
-def _run_fh_density(config, out):
+def _run_fh_density(config):
     spectra, _ = _sample_ensemble(config)
     density = _ensemble_density(spectra)
-    rho0 = float(density(config.lambda0))
-    if rho0 <= 0:
-        raise RuntimeError(
-            f"empirical density vanishes at lambda0={config.lambda0}; "
-            "choose a window inside the bulk")
+    rho0 = _density_at(density, "empirical", config.lambda0)
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
     cols = _index_columns(config, spectra, density, *_window_records(config, spectra))
-    _write_columns(out / "h_empirical.csv", ["matrix", "index", "lambda", "h_exact", "h_hat"], cols)
     _bootstrap_columns(config, spectra, cols)
-    _write_columns(out / "bootstrap.csv",
-                   ["matrix", "index", "lambda", "n_mean_error", "n_std_error"], cols)
     grid = _fh_grid(params)
-    _write_fh_table(out / "fh.csv", grid, f_H(grid, params), params)
-    _write_json(out / "stats.json", {
-        "rho_at_lambda0": rho0,
-        "window_count": cols["h_exact"].size,
-        "median_h_empirical": float(np.median(cols["h_exact"])),
-        "regime_violation_fraction": float(np.mean(cols["regime_violation"])),
-    })
-    return ["h_empirical.csv", "bootstrap.csv", "fh.csv", "stats.json"]
+    return {
+        "h_empirical.csv": _table(cols, ["matrix", "index", "lambda", "h_exact", "h_hat"]),
+        "bootstrap.csv": _table(cols, ["matrix", "index", "lambda", "n_mean_error", "n_std_error"]),
+        "fh.csv": _fh_table(grid, f_H(grid, params), params),
+        "stats.json": {
+            "rho_at_lambda0": rho0,
+            "window_count": cols["h_exact"].size,
+            "median_h_empirical": float(np.median(cols["h_exact"])),
+            "regime_violation_fraction": float(np.mean(cols["regime_violation"])),
+        },
+    }
 
 
-def _run_tail(config, out):
-    rho = _mckay_at_lambda0(config)
+def _run_tail(config):
+    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0)
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho)
     report = tail_report(params)
-    _write_json(out / "tail.json", {
-        "slope": report.fitted_slope,
-        "window": list(report.window),
-        "plateau_spread": report.plateau_ratio_spread,
-    })
-    _write_fh_table(out / "fh_tail.csv", report.h_grid, report.fh, params)
-    return ["tail.json", "fh_tail.csv"]
+    return {
+        "tail.json": {"slope": report.fitted_slope, "window": list(report.window),
+                      "plateau_spread": report.plateau_ratio_spread},
+        "fh_tail.csv": _fh_table(report.h_grid, report.fh, params),
+    }
 
 
-def _run_bound_scatter(config, out):
+def _run_bound_scatter(config):
     spectra, _ = _sample_ensemble(config, count=1)
     ev = spectra[0]
     hx = h_exact_all(ev)
@@ -404,10 +404,9 @@ def _run_bound_scatter(config, out):
         boot = bootstrap_error(ev, config.R, n, seed=child_seed(config.seed, 2, ni))
         for r, res in enumerate(boot.residuals):
             blocks.append(zip(repeat(n), repeat(r), index, ev, hx, res, n * res, violation))
-    _write_csv(out / "bound_scatter.csv",
-               ["n", "replicate", "index", "lambda", "h_exact",
-                "residual", "n_residual", "regime_violation"], chain.from_iterable(blocks))
-    return ["bound_scatter.csv"]
+    return {"bound_scatter.csv": (["n", "replicate", "index", "lambda", "h_exact",
+                                   "residual", "n_residual", "regime_violation"],
+                                  chain.from_iterable(blocks))}
 
 
 EXPERIMENTS = {
@@ -422,20 +421,14 @@ EXPERIMENTS = {
 }
 
 
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def run(experiment, config):
     """Run one named experiment; returns the manifest dict.
 
     Writes the experiment's data files plus `manifest.json` (config echo,
-    output hashes, wall time) into config.out. Deterministic per seed and
-    thread count. Only `bound-scatter` reads several n.
+    output hashes, wall time) into config.out, and only once every output
+    has been computed and serialized: a run that raises writes no file.
+    Deterministic per seed and thread count. Only `bound-scatter` reads
+    several n.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
@@ -445,14 +438,18 @@ def run(experiment, config):
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    outputs = EXPERIMENTS[experiment](config, out)
+    data = {name: _csv_bytes(*content) if name.endswith(".csv") else _json_bytes(content)
+            for name, content in EXPERIMENTS[experiment](config).items()}
     manifest = {
         "experiment": experiment,
         "config": config.as_dict(),
-        "outputs": [{"path": name, "sha256": _sha256(out / name)} for name in outputs],
+        "outputs": [{"path": name, "sha256": hashlib.sha256(raw).hexdigest()}
+                    for name, raw in data.items()],
         "wall_time_s": time.perf_counter() - started,
     }
-    _write_json(out / "manifest.json", manifest)
+    data["manifest.json"] = _json_bytes(manifest)
+    for name, raw in data.items():
+        (out / name).write_bytes(raw)
     return manifest
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from eigerr.cli import _resolve, build_parser, main
 from eigerr.experiments import (
     ESTIMATE_COLUMNS,
     HDENSITY_COLUMNS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
-    _write_csv,
-    _write_json,
+    _csv_bytes,
+    _json_bytes,
     run,
     validate,
 )
@@ -229,6 +231,20 @@ class TestRunners:
                 assert [float(b["residual"]) for b in block] == res.tolist()
                 assert [float(b["n_residual"]) for b in block] == (n * res).tolist()
 
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_manifest_lists_every_data_file(self, tmp_path, experiment):
+        # The manifest names exactly the files the run wrote, in the runner's
+        # output order, each with the sha256 of the bytes on disk.
+        cfg = ExperimentConfig(out=tmp_path, n=(10 ** 6,), **SMALL)
+        manifest = run(experiment, cfg)
+        listed = [o["path"] for o in manifest["outputs"]]
+        assert listed == list(EXPERIMENTS[experiment](cfg))
+        assert sorted(listed) == sorted(f.name for f in tmp_path.iterdir() if f.name != "manifest.json")
+        for entry in manifest["outputs"]:
+            digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
+            assert entry["sha256"] == digest
+        assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == manifest["outputs"]
+
     def test_every_output_has_header(self, tmp_path):
         cfg = ExperimentConfig(out=tmp_path, n=(10 ** 6,), **SMALL)
         run("bootstrap-vs-hhat", cfg)
@@ -244,37 +260,37 @@ def _csv_text(*rows):
 _DENSITY_GRID = np.array([15.0, 20.0])
 _GAP_RECORDS = extract_gap_records([1.0, 2.0, 3.0, 4.0], 2.5, 1.0)
 
-# name -> (writer, arguments after the path, exact file text)
+# name -> (serializer, arguments, exact file text)
 WRITER_CASES = {
     "estimates": (
-        _write_csv,
+        _csv_bytes,
         (ESTIMATE_COLUMNS, [[2, 1.5, 3.25, 3.5, 3.0, None, None, False]]),
         _csv_text(ESTIMATE_COLUMNS, ["2", "1.5", "3.25", "3.5", "3.0", "", "", "0"])),
     "density": (
-        _write_csv,
+        _csv_bytes,
         (["lambda", "rho"],
          list(zip(_DENSITY_GRID, SpectralDensity.mckay(20)(_DENSITY_GRID)))),
         _csv_text(["lambda", "rho"], ["15.0", "0.06061832720744432"],
                   ["20.0", "0.06937403133025387"])),
     "gaps": (
-        _write_csv,
+        _csv_bytes,
         (["index", "lambda", "s_minus", "s_plus"],
          zip(*_GAP_RECORDS)),
         _csv_text(["index", "lambda", "s_minus", "s_plus"], ["2", "2.0", "1.0", "1.0"],
                   ["3", "3.0", "1.0", "1.0"])),
     "hdensity": (
-        _write_csv,
+        _csv_bytes,
         (HDENSITY_COLUMNS, list(zip([1.0, 2.0], [0.1, 0.2], [0.3, 0.5]))),
         _csv_text(HDENSITY_COLUMNS, ["1.0", "0.1", "0.3"], ["2.0", "0.2", "0.5"])),
     "numpy_scalars": (
-        _write_csv,
+        _csv_bytes,
         (["f64", "i64", "bool", "none"],
          [(np.float64(0.012612788722549187), np.int64(7), np.bool_(True), None),
           (np.float32(0.5), np.int32(-3), np.bool_(False), None)]),
         _csv_text(["f64", "i64", "bool", "none"], ["0.012612788722549187", "7", "1", ""],
                   ["0.5", "-3", "0", ""])),
     "tail_json": (
-        _write_json,
+        _json_bytes,
         ({"slope": -2.0, "window": [1.0, 100.0], "plateau_spread": 0.25},),
         '{\n  "plateau_spread": 0.25,\n  "slope": -2.0,\n'
         '  "window": [\n    1.0,\n    100.0\n  ]\n}\n'),
@@ -283,17 +299,14 @@ WRITER_CASES = {
 
 class TestWriters:
     @pytest.mark.parametrize("case", sorted(WRITER_CASES))
-    def test_writer(self, tmp_path, case):
-        writer, args, expected = WRITER_CASES[case]
-        path = tmp_path / "out"
-        writer(path, *args)
-        assert path.read_bytes().decode() == expected
-
+    def test_writer(self, case):
+        serialize, args, expected = WRITER_CASES[case]
+        assert serialize(*args) == expected.encode()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_json_rejects_non_finite(self, tmp_path, value):
+    def test_json_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="JSON compliant"):
-            _write_json(tmp_path / "out", {"statistic": value})
+            _json_bytes({"statistic": value})
 
 
 class TestValidate:
@@ -436,6 +449,28 @@ class TestCli:
             assert record["error"] == "RuntimeError"
             assert record["message"].startswith(message)
             assert record["experiment"] == experiment
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        # A 2-regular graph on 12 vertices is a union of cycles: at seed 2 the
+        # first one is disconnected, so index 2 is a second zero eigenvalue and
+        # its h_exact is negative. The run fails before it writes any file.
+        flags = ["--M", "2", "--n", "1e3", "--out"]
+        failing = ["run", "hhat-vs-h", "--p", "12", "--k", "2", "--lambda0", "2", "--seed", "2"]
+        empty, earlier = tmp_path / "empty", tmp_path / "earlier"
+        assert main(["run", "hhat-vs-h", "--p", "60", "--k", "4", "--lambda0", "4",
+                     "--seed", "5", *flags, str(earlier)]) == 0
+        before = {f.name: f.read_bytes() for f in earlier.iterdir()}
+        capsys.readouterr()
+        for out in (empty, earlier):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*failing, *flags, str(out)]) == 2
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "RuntimeError"
+            assert record["message"].startswith("h_exact is not positive at index 2 ")
+            assert "more than one zero eigenvalue" in record["message"]
+        assert not any(empty.iterdir())
+        assert {f.name: f.read_bytes() for f in earlier.iterdir()} == before
 
     def test_env_override_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EIGERR_P", "10")
