@@ -175,8 +175,8 @@ def checked_spectrum(eigenvalues):
 
     Every gap statistic here assumes a simple spectrum (h_i diverges as a gap
     closes), so anything else raises ``ValueError``: an array that is not 1-D,
-    a NaN or infinite eigenvalue, a descending step, or a tie (a gap of
-    exactly 0).
+    a NaN or infinite eigenvalue, a descending step, or a tie: a gap of at most
+    eps * p * max|lambda|, within which rounding can split a repeated eigenvalue.
     """
     ev = np.asarray(eigenvalues, dtype=float)
     if ev.ndim != 1:
@@ -184,8 +184,13 @@ def checked_spectrum(eigenvalues):
     gaps = np.diff(ev)
     if not (np.isfinite(ev).all() and (gaps >= 0).all()):
         raise ValueError("eigenvalues must be finite and ascending")
-    if not gaps.all():
-        raise ValueError("tied eigenvalues: spectrum is not simple")
+    # c = 1 in c * eps * p * max|lambda|, a symmetric eigensolver's backward error.
+    tol = np.finfo(float).eps * ev.size * np.abs(ev).max(initial=0.0)
+    tied = np.flatnonzero(gaps <= tol)
+    if tied.size:
+        i = tied[0]  # the first tied pair is lambda_(i+1), lambda_(i+2), 1-based
+        raise ValueError(f"tied eigenvalues: lambda_{i + 1} and lambda_{i + 2} are {gaps[i]:.3g} "
+                         f"apart, within rounding ({tol:.3g}); spectrum is not simple")
     return ev
 
 

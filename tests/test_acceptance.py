@@ -136,7 +136,7 @@ def test_criterion_4_joint_surmise(bulk_gap_records):
     assert l1 <= 0.2
 
 
-def test_criterion_5_fh_correctness(bulk_ensemble):
+def test_criterion_5_fh_correctness(bulk_spectra):
     """f_H: normalization, Monte-Carlo pushforward, and the empirical h pool."""
     params = HDensityParams(lam=20.0, p=1000, rho=RHO20)
 
@@ -150,9 +150,9 @@ def test_criterion_5_fh_correctness(bulk_ensemble):
     ok_b = l1_mc <= 0.05
 
     h_emp = []
-    for mat in bulk_ensemble:
-        recs = eg.extract_gap_records(mat.eigenvalues, 20.0, 1.0)
-        h_emp.append(eg.h_exact_all(mat.eigenvalues)[recs.index - 1])
+    for ev in bulk_spectra:
+        recs = eg.extract_gap_records(ev, 20.0, 1.0)
+        h_emp.append(eg.h_exact_all(ev)[recs.index - 1])
     h_emp = np.concatenate(h_emp)
     grid_e, cum_e = model_cdf_grid(params, h_emp.min() / 4.0, h_emp.max() * 8.0)
     l1_emp = hist_l1(h_emp, grid_e, cum_e, nbins=30)

@@ -342,12 +342,11 @@ class TestConvergenceTrend:
 
         medians = []
         for p in (100, 500, 1000):
-            mats = [laplacian(sample_regular_graph(p, 20, child_seed(404, 0, m)))
-                    for m in range(20)]
-            density = estimate_density([m.eigenvalues[1:] for m in mats])
+            spectra = [laplacian(sample_regular_graph(p, 20, child_seed(404, 0, m))).eigenvalues
+                       for m in range(20)]
+            density = estimate_density([ev[1:] for ev in spectra])
             per_matrix = []
-            for c in mats[:5]:
-                ev = c.eigenvalues
+            for ev in spectra[:5]:
                 lam, sm, sp = ev[1:-1], np.diff(ev)[:-1], np.diff(ev)[1:]
                 hx = h_exact_all(ev)[1:-1]
                 hh = h_hat(lam, sm, sp, p, density(lam))

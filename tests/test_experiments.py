@@ -164,15 +164,20 @@ class TestRunners:
         rows = read_csv(tmp_path / "fh_tail.csv")[1:]
         assert [(float(h), float(fh)) for h, fh, _ in rows] == list(zip(report.h_grid, report.fh))
 
-    def test_determinism_across_runs_and_threads(self, tmp_path):
+    @pytest.mark.parametrize("experiment", ["hhat-vs-h", "bootstrap-vs-hhat", "fh-density"])
+    def test_determinism_across_runs_and_threads(self, tmp_path, experiment):
+        # The pool width never moves a byte; bootstrap-vs-hhat and fh-density
+        # also bootstrap their matrices on the pool.
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        run("hhat-vs-h", ExperimentConfig(out=out1, n=(1000,), **SMALL))
-        run("hhat-vs-h", ExperimentConfig(out=out2, n=(1000,), **SMALL))
-        cfg3 = dict(SMALL)
-        run("hhat-vs-h", ExperimentConfig(out=out3, n=(1000,), threads=3, **cfg3))
-        ref = (out1 / "estimates.csv").read_bytes()
-        assert (out2 / "estimates.csv").read_bytes() == ref
-        assert (out3 / "estimates.csv").read_bytes() == ref
+        run(experiment, ExperimentConfig(out=out1, n=(1000,), **SMALL))
+        run(experiment, ExperimentConfig(out=out2, n=(1000,), **SMALL))
+        run(experiment, ExperimentConfig(out=out3, n=(1000,), threads=3, **SMALL))
+        data = sorted(f.name for f in out1.iterdir() if f.name != "manifest.json")
+        assert data
+        for name in data:
+            ref = (out1 / name).read_bytes()
+            assert (out2 / name).read_bytes() == ref
+            assert (out3 / name).read_bytes() == ref
 
     def test_no_index_in_regime_writes_null(self, tmp_path):
         # n = p puts every index out of regime, so the median has no data:
@@ -450,14 +455,16 @@ class TestCli:
             assert record["message"].startswith(message)
             assert record["experiment"] == experiment
 
-    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("experiment", ["hhat-vs-h", "bootstrap-vs-hhat", "bound-scatter"])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, experiment):
         # A 2-regular graph on 12 vertices is a union of cycles: at seed 2 the
-        # first one is disconnected, so index 2 is a second zero eigenvalue and
-        # its h_exact is negative. The run fails before it writes any file.
-        flags = ["--M", "2", "--n", "1e3", "--out"]
-        failing = ["run", "hhat-vs-h", "--p", "12", "--k", "2", "--lambda0", "2", "--seed", "2"]
+        # first one is disconnected, so its second zero eigenvalue lies within
+        # rounding of the first. The spectrum guard refuses it before any file
+        # is written, and before a divergent h_exact can warn or reach a row.
+        flags = ["--M", "2", "--R", "2", "--n", "1e3", "--out"]
+        failing = ["run", experiment, "--p", "12", "--k", "2", "--lambda0", "2", "--seed", "2"]
         empty, earlier = tmp_path / "empty", tmp_path / "earlier"
-        assert main(["run", "hhat-vs-h", "--p", "60", "--k", "4", "--lambda0", "4",
+        assert main(["run", experiment, "--p", "60", "--k", "4", "--lambda0", "4",
                      "--seed", "5", *flags, str(earlier)]) == 0
         before = {f.name: f.read_bytes() for f in earlier.iterdir()}
         capsys.readouterr()
@@ -466,9 +473,9 @@ class TestCli:
                 warnings.simplefilter("error")
                 assert main([*failing, *flags, str(out)]) == 2
             record = json.loads(capsys.readouterr().err)
-            assert record["error"] == "RuntimeError"
-            assert record["message"].startswith("h_exact is not positive at index 2 ")
-            assert "more than one zero eigenvalue" in record["message"]
+            assert record["error"] == "ValueError"
+            assert record["message"].startswith("tied eigenvalues: lambda_1 and lambda_2 are ")
+            assert record["message"].endswith("; spectrum is not simple")
         assert not any(empty.iterdir())
         assert {f.name: f.read_bytes() for f in earlier.iterdir()} == before
 

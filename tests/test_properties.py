@@ -17,10 +17,18 @@ from oracles import h_exact
 # Fixed example sequence and no example database, so every run draws the same cases.
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
-# Ascending simple spectra: distinct floats, sorted.
-spectra = st.lists(st.floats(-1e3, 1e3), max_size=40, unique=True).map(sorted)
+
+def _beyond_rounding(ev):
+    # The spectrum guard's accepting side: every gap above eps * p * max|lambda|.
+    ev = np.array(ev)
+    return bool((np.diff(ev) > np.finfo(float).eps * ev.size * np.abs(ev).max(initial=0.0)).all())
+
+
+# Ascending simple spectra: distinct floats, sorted, no two within rounding.
+spectra = st.lists(st.floats(-1e3, 1e3), max_size=40, unique=True).map(sorted).filter(
+    _beyond_rounding)
 positive_spectra = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40,
-                            unique=True).map(sorted)
+                            unique=True).map(sorted).filter(_beyond_rounding)
 
 
 def _gap_rows(ev, lambda0, delta):
@@ -91,6 +99,9 @@ CORRUPTIONS = {
     "inf": lambda ev, at: np.insert(ev, at % (len(ev) + 1), np.inf),
     "-inf": lambda ev, at: np.insert(ev, at % (len(ev) + 1), -np.inf),
     "duplicate": lambda ev, at: np.insert(ev, at % len(ev), ev[at % len(ev)]),
+    # One ulp above a neighbour: a repeated eigenvalue that rounding split.
+    "rounding": lambda ev, at: np.insert(ev, at % len(ev) + 1,
+                                         np.nextafter(ev[at % len(ev)], np.inf)),
     "swap": lambda ev, at: _swapped(ev, at % (len(ev) - 1)),
     "2-D": lambda ev, at: ev.reshape((1, -1) if at % 2 else (-1, 1)),
 }
@@ -103,10 +114,11 @@ def _gap_statistics(ev):
 
 
 @PROPERTY
-@given(ev=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40, unique=True).map(sorted),
+@given(ev=positive_spectra.filter(lambda ev: len(ev) >= 2),
        kind=st.sampled_from(sorted(CORRUPTIONS)), at=st.integers(0, 40))
 @example(ev=[0.0, 1.0, 2.0], kind="inf", at=3)
 @example(ev=[1.0, 2.0, 3.0], kind="duplicate", at=1)
+@example(ev=[1.0, 2.0, 3.0], kind="rounding", at=1)
 def test_one_spectrum_guard(ev, kind, at):
     ev = np.array(ev)
     for statistic in _gap_statistics(ev):

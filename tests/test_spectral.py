@@ -186,8 +186,14 @@ class TestGapRecords:
         assert extract_gap_records([1.0, 2.0, 3.0, 4.0], 0.0, np.inf).index.tolist() == [2, 3]
 
     def test_ties_rejected(self):
-        with pytest.raises(ValueError, match="tied|simple"):
+        with pytest.raises(ValueError, match="tied eigenvalues: lambda_2 and lambda_3 are 0 apart"):
             extract_gap_records([1.0, 2.0, 2.0, 3.0], 2.0, 5.0)
+        # A tie is a gap within eps * p * max|lambda|, here 12 eps: 12 ulps of
+        # 1.0 is tied, 13 ulps is simple.
+        eps = np.finfo(float).eps
+        with pytest.raises(ValueError, match="lambda_2 and lambda_3 are 2.66e-15 apart"):
+            extract_gap_records([0.0, 1.0, 1.0 + 12 * eps, 3.0], 2.0, 5.0)
+        assert extract_gap_records([0.0, 1.0, 1.0 + 13 * eps, 3.0], 2.0, 5.0).index.tolist() == [2, 3]
 
     def test_nonpositive_delta_rejected(self):
         # NaN passes a bare `delta <= 0` test, and a NaN lambda0 gave empty records.
