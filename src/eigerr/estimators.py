@@ -172,7 +172,8 @@ def bootstrap_error(eigenvalues, R, n, seed=0):
 def _checked_h(h):
     # h as a float array, once every entry is finite and positive.
     h = np.asarray(h, dtype=float)
-    if not ((h > 0) & (h < np.inf)).all():  # NaN fails both
+    # min and max propagate NaN, which fails both comparisons; an empty h passes.
+    if h.size and not 0 < h.min() <= h.max() < np.inf:
         raise ValueError("h must be finite and positive")
     return h
 

@@ -33,6 +33,7 @@ from .hdensity import F_H, HDensityParams, f_H, tail_report
 from .spectral import (
     GapRecords,
     SpectralDensity,
+    checked_spectrum,
     estimate_density,
     extract_gap_records,
     joint_gap_pdf,
@@ -310,11 +311,18 @@ def _joint_cell_masses(edges, p, rho, refine=6):
     return pdf.reshape(nb, nb, -1).sum(axis=-1) * dx[:, None] * dx[None, :]
 
 
-def _run_hhat_vs_h(config):
-    spectra, _ = _sample_ensemble(config)
-    # Every interior index of the first matrix, against the ensemble density.
+def _first_matrix_columns(config):
+    # Every interior index of the first matrix, against the density of all M
+    # spectra. Each of them passes the gap guard, as a window's records do: a
+    # disconnected matrix would put a second zero mode into the density.
+    spectra = np.array([checked_spectrum(ev) for ev in _sample_ensemble(config)[0]])
     cols = _index_columns(config, spectra[:1], _ensemble_density(spectra),
                           *_pool_gap_records(spectra[:1], 0.0, np.inf))
+    return spectra[:1], cols
+
+
+def _run_hhat_vs_h(config):
+    _, cols = _first_matrix_columns(config)
     hx, hh, hh0 = cols["h_exact"], cols["h_hat"], cols["h_hat_uncorrected"]
     log_corr = float(np.corrcoef(np.log(hx), np.log(hh))[0, 1])
     lower = hx <= np.median(hx)
@@ -330,10 +338,8 @@ def _run_hhat_vs_h(config):
 
 
 def _run_bootstrap_vs_hhat(config):
-    spectra, _ = _sample_ensemble(config)
-    cols = _index_columns(config, spectra[:1], _ensemble_density(spectra),
-                          *_pool_gap_records(spectra[:1], 0.0, np.inf))
-    (result,) = _bootstrap_columns(config, spectra[:1], cols)
+    first, cols = _first_matrix_columns(config)
+    (result,) = _bootstrap_columns(config, first, cols)
     ok = ~cols["regime_violation"]
     rel = np.abs(cols["n_mean_error"][ok] / cols["h_hat"][ok] - 1.0)
     return {

@@ -14,7 +14,10 @@ over the half arc x in [x_eq, x_eq + 12] that take no parameters: their
 Gauss-Legendre panels and nodes are built once at import, each integrand is
 one array expression, both orders are summed by one product with a (nodes, 2)
 weight matrix and checked against each other, and the value is exactly 0 where
-x_eq passes one constant cut. ``tail_report`` verifies the large-h tail
+x_eq passes one constant cut. One h, the unit of a density plot or a quantile
+search, takes one pass over the nodes with v and x_eq in floats; arrays of two
+or more are summed in blocks of 64 rows, and each h gets the same value, bit for
+bit, either way. ``tail_report`` verifies the large-h tail
 f_H = O(p^2/h^2) with a tail integral on the same two-order rule.
 ``sample_joint_gaps`` draws the joint gap surmise exactly, as the spacings of
 three GOE levels, and serves as an independent Monte-Carlo oracle.
@@ -144,9 +147,9 @@ def _panels(edges):
 
 
 def _agreed(fine, coarse):
-    # The fine sums, once each agrees with its coarse sum: relative above the
-    # underflow scale, where sums lose digits; NaN fails.
-    ok = np.abs(fine - coarse) <= np.maximum(_RULE_RTOL * np.abs(fine), _TINY)
+    # The fine sums (arrays or floats), once each agrees with its coarse sum:
+    # relative above the underflow scale, where sums lose digits; NaN fails.
+    ok = abs(fine - coarse) <= np.maximum(_RULE_RTOL * abs(fine), _TINY)
     if not ok.all():
         raise RuntimeError(
             f"quadrature did not converge at {int((~ok).sum())} of {ok.size} points: "
@@ -160,10 +163,9 @@ def _fixed_rule(integrand, edges):
 
 
 def _over_h(h, rule):
-    # rule(h_col) -> one value per row of the column h_col (m, 1), shaped as h; in
-    # blocks of 64 rows, whose (rows, nodes) temporaries stay in cache (an empty h
-    # is one empty block).
-    h = _checked_h(h)
+    # rule(h_col) -> one value per row of the column h_col (m, 1), shaped as the
+    # checked h; in blocks of 64 rows, whose (rows, nodes) temporaries stay in
+    # cache (an empty h is one empty block).
     col = h.reshape(-1, 1)
     values = [rule(col[i:i + 64]) for i in range(0, max(len(col), 1), 64)]
     return _scalar_if_0d(np.concatenate(values).reshape(h.shape))
@@ -175,8 +177,8 @@ def _over_h(h, rule):
 # take one integrand call, and one product with the (nodes, 2) weights _ARC_W
 # (each order's column zero on the other's nodes) gives both sums.
 (_FINE, _FINE_W), (_COARSE, _COARSE_W) = _panels(np.array([[0.0, 0.1, 1.0, 12.0]]))
-_ARC_NODES = np.hstack([_FINE, _COARSE])
-_ARC_W = np.zeros((_ARC_NODES.shape[1], 2))
+_ARC_NODES = np.hstack([_FINE[0], _COARSE[0]])
+_ARC_W = np.zeros((_ARC_NODES.size, 2))
 _ARC_W[:_FINE.shape[1], 0], _ARC_W[_FINE.shape[1]:, 1] = _FINE_W[0], _COARSE_W[0]
 # exp(-x) is 0.0 for every x above _EXP_UNDERFLOW (2^-1075 = e^-745.13 is half the
 # smallest subnormal). On the half arc x+ >= x_eq, J~'s Gaussian factor is below
@@ -190,15 +192,27 @@ def _half_arc_rule(h, params, terms):
     # Sum terms(x_star, x_eq, x) over the half arc at each h, from v = 1/u: x_eq has
     # r = v, x_star <= x_eq. h is raised to the cut _U_CUT (lam a)^2 first, where
     # every term is already 0.0; below it, x_star^4 or x^2 overflow into inf * 0.
-    h_cut = _U_CUT * _h_unit(params)
+    h = _checked_h(h)
+    h_unit = _h_unit(params)
+    h_cut = _U_CUT * h_unit
+
+    def on_arc(v, x_eq):
+        # terms at the arc's nodes: (nodes,) from floats, (m, nodes) from columns.
+        x = x_eq + _ARC_NODES
+        return terms(_root(0.5 * v / _unit_residual(v, x)), x_eq, x)
+
+    if h.size == 1:
+        # One point takes one pass over the nodes: v and x_eq in floats, x_eq by
+        # _root's formula with math.sqrt, which rounds as np.sqrt does, so the
+        # value equals the same h's row in a block, bit for bit.
+        v = h_unit / max(h.item(), h_cut)
+        fine = _agreed(*(on_arc(v, v + math.sqrt(v) * math.sqrt(v + 2.0)) @ _ARC_W).tolist())
+        return fine if h.ndim == 0 else np.full(h.shape, fine)
 
     def rule(h_col):
-        v = _h_unit(params) / np.maximum(h_col, h_cut)
-        x_eq = _root(v)
-        x = x_eq + _ARC_NODES
-        t = terms(_root(0.5 * v / _unit_residual(v, x)), x_eq, x)
+        v = h_unit / np.maximum(h_col, h_cut)
         # One product per row, so that a row's sums do not depend on the block.
-        return _agreed(*(t[:, None, :] @ _ARC_W)[:, 0].T)
+        return _agreed(*(on_arc(v, _root(v))[:, None, :] @ _ARC_W)[:, 0].T)
 
     return _over_h(h, rule)
 
@@ -329,7 +343,7 @@ def tail_integral(h, params):
 
         return _fixed_rule(integrand, edges)
 
-    return _over_h(h, rule)
+    return _over_h(_checked_h(h), rule)
 
 
 @dataclass(frozen=True)

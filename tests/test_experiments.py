@@ -479,6 +479,24 @@ class TestCli:
         assert not any(empty.iterdir())
         assert {f.name: f.read_bytes() for f in earlier.iterdir()} == before
 
+    def test_later_disconnected_matrix_refused(self, tmp_path, capsys):
+        # At seed 149 the first of three 3-regular graphs on 10 vertices is
+        # connected and the second is not. hhat-vs-h and bootstrap-vs-hhat take
+        # their rows from the first matrix but their density from all three, so
+        # the guard must refuse the second one's tied zero modes; density
+        # counts the disconnected graph instead.
+        flags = ["--p", "10", "--k", "3", "--M", "3", "--n", "1e3", "--lambda0", "3",
+                 "--seed", "149", "--out"]
+        for experiment in ("hhat-vs-h", "bootstrap-vs-hhat"):
+            assert main(["run", experiment, *flags, str(tmp_path / experiment)]) == 2
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "ValueError"
+            assert record["message"].startswith("tied eigenvalues: lambda_1 and lambda_2 are ")
+            assert not any((tmp_path / experiment).iterdir())
+        assert main(["run", "density", *flags, str(tmp_path / "density")]) == 0
+        stats = json.loads((tmp_path / "density" / "stats.json").read_text())
+        assert stats["disconnected"] == 1
+
     def test_env_override_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EIGERR_P", "10")
         monkeypatch.setenv("EIGERR_K", "2")

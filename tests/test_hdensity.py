@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special, stats
 from scipy.integrate import quad
@@ -448,7 +448,7 @@ class TestHRule:
         # F_H(inf) used to read 0.0, and tail_integral(inf) to warn, then report
         # a quadrature that did not converge; s0(nan) read nan.
         for func in (f_H, F_H, tail_integral, s0):
-            for h in (bad, np.array([1.0, bad])):
+            for h in (bad, np.array([bad]), np.array([1.0, bad])):
                 with pytest.raises(ValueError, match="^h must be finite and positive$"):
                     func(h, UNIT)
         for func in (s_star, ds_star_dh):
@@ -537,16 +537,32 @@ class TestFixedRule:
             assert f_H(h, LAM20) == pytest.approx(_adaptive_f(h, LAM20), rel=1e-10, abs=1e-8)
             assert F_H(h, LAM20) == pytest.approx(_adaptive_F(h, LAM20), rel=1e-10, abs=1e-8)
 
-    def test_array_equals_scalar(self):
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(lam=st.floats(0.05, 200.0), p=st.integers(1, 5000), rho=st.floats(1e-3, 1.0),
+           logs=st.lists(st.floats(math.log(0.01), math.log(1000.0)), min_size=2, max_size=12))
+    @example(lam=LAM20.lam, p=LAM20.p, rho=LAM20.rho, logs=[math.log(0.01), math.log(1000.0)])
+    def test_array_equals_scalar(self, lam, p, rho, logs):
+        # A scalar or a size-1 h is summed in floats, more points in blocks of
+        # 64 rows: all three must agree bitwise, from h_typ / 100 to 1000 h_typ,
+        # on the tail window, past one block, and one ulp either side of the cut.
+        params = HDensityParams(lam=lam, p=p, rho=rho)
+        h_unit = (lam * params.a) ** 2
+        cut = hdensity._U_CUT * h_unit
+        grid = np.concatenate([4.0 * h_unit * np.exp(logs), _fh_grid(params), _tail_grid(params),
+                               [np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)]])
+        for func in (f_H, F_H):
+            scalars = [func(h, params) for h in grid.tolist()]
+            assert all(type(v) is float for v in scalars)
+            for shape in ((1,), (1, 1)):
+                np.testing.assert_array_equal(
+                    [func(np.full(shape, h), params) for h in grid],
+                    np.reshape(scalars, (-1, *shape)))
+            np.testing.assert_array_equal(func(grid, params), scalars)
+            np.testing.assert_array_equal(func(grid[None, :], params), [scalars])
+
+    def test_tail_integral_array_equals_scalar(self):
         hms = h_min_scale(LAM20)
         tail_grid = np.geomspace(100.0 * hms, 1e4 * hms, 25)
-        grid = np.concatenate([_fh_grid(LAM20), tail_grid])
-        for func in (f_H, F_H):
-            scalars = [func(h, LAM20) for h in grid]
-            assert all(type(v) is float for v in scalars)
-            np.testing.assert_array_equal(func(grid, LAM20), scalars)
-            np.testing.assert_array_equal(func(grid.reshape(5, 17), LAM20),
-                                          np.reshape(scalars, (5, 17)))
         scalars = [tail_integral(h, LAM20) for h in tail_grid]
         assert all(type(v) is float for v in scalars)
         np.testing.assert_array_equal(tail_integral(tail_grid, LAM20), scalars)
@@ -597,6 +613,13 @@ class TestFixedRule:
         # of their value.
         with pytest.raises(RuntimeError, match="did not converge"):
             _fixed_rule(lambda x: 1e-20 / ((x - 0.3) ** 2 + 1e-20), np.array([[0.0, 1.0]]))
+
+    @pytest.mark.parametrize("h", [1.0, np.array([1.0]), np.array([1.0, 2.0])],
+                             ids=["scalar", "size-1", "two-point"])
+    def test_half_arc_rule_nan_sum_raises(self, h):
+        # The one-point float sums face the same check as a block's rows.
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _half_arc_rule(h, UNIT, lambda x_star, x_eq, x: np.full_like(x, np.nan))
 
 
 class TestSampler:
