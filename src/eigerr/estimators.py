@@ -19,6 +19,7 @@ Each checks that spectrum with ``spectral.checked_spectrum``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +79,21 @@ def h_hat(lam, s_minus, s_plus, p, rho, include_correction=True):
     lam^2 [ (1/s-^2 + 1/s+^2) + p*rho(lam) (1/s- + 1/s+) ]; dropping the
     second bracket gives the nearest-neighbor-only variant
     (include_correction=False). Gaps must be positive (NaN is not), lam must be
-    finite and rho finite and nonnegative (rho = 0 at a bulk edge).
+    finite, p a positive integer and rho finite and nonnegative (rho = 0 at a
+    bulk edge).
     """
+    _checked_int("p", p, 1)  # a negative p would flip the correction term's sign
     sm = np.asarray(s_minus, dtype=float)
     sp = np.asarray(s_plus, dtype=float)
-    if not (np.all(sm > 0) and np.all(sp > 0)):
+    # The arrays' own all(): np.all's Python dispatch, some 5 us a call, would be
+    # paid on every block of push_h_samples.
+    if not ((sm > 0).all() and (sp > 0).all()):
         raise ValueError("gaps must be positive")
     lam = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise ValueError("lam must be finite")
-    if not (np.all(np.isfinite(rho)) and np.all(np.asarray(rho) >= 0)):
+    rho_checked = np.asarray(rho)
+    if not (np.isfinite(rho_checked) & (rho_checked >= 0)).all():
         raise ValueError("rho must be finite and nonnegative")
     out = lam * lam * (1.0 / sm ** 2 + 1.0 / sp ** 2)
     if include_correction:
@@ -167,6 +173,14 @@ def bootstrap_error(eigenvalues, R, n, seed=0):
     n_mean = scaled.mean(axis=0)
     n_std = scaled.std(axis=0, ddof=1) if R > 1 else np.zeros(p)
     return BootstrapResult(residuals, n_mean, n_std, crossings)
+
+
+def _checked_int(name, value, least):
+    # value, once it is an integer of at least least (0 or 1); a bool is not a count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, not {value!r}")
+    return value
 
 
 def _checked_h(h):

@@ -20,18 +20,21 @@ or more are summed in blocks of 64 rows, and each h gets the same value, bit for
 bit, either way. ``tail_report`` verifies the large-h tail
 f_H = O(p^2/h^2) with a tail integral on the same two-order rule.
 ``sample_joint_gaps`` draws the joint gap surmise exactly, as the spacings of
-three GOE levels, and serves as an independent Monte-Carlo oracle.
+three GOE levels, and serves as an independent Monte-Carlo oracle. It draws its
+gammas whole and then its uniforms, in that stream order, and transforms them
+(and ``push_h_samples`` maps them through ``h_hat``) in place, in blocks of
+8192 draws that stay in cache: each value is the one the whole-array
+expressions give, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import _checked_h, h_hat
+from .estimators import _checked_h, _checked_int, h_hat
 from .spectral import _gap_scale, _scalar_if_0d, gauss_rate
 
 __all__ = [
@@ -65,8 +68,7 @@ class HDensityParams:
 
     def __post_init__(self):
         # tail_report's plateau carries p^3, so a negative p would flip its sign.
-        if not (isinstance(self.p, numbers.Integral) and self.p > 0):
-            raise ValueError(f"p must be a positive integer, not {self.p!r}")
+        _checked_int("p", self.p, 1)
         for name, value in (("lam", self.lam), ("rho", self.rho)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
@@ -186,6 +188,9 @@ _ARC_W[:_FINE.shape[1], 0], _ARC_W[_FINE.shape[1]:, 1] = _FINE_W[0], _COARSE_W[0
 _EXP_UNDERFLOW = 746.0
 _X_CUT = math.sqrt(_EXP_UNDERFLOW / _B)
 _U_CUT = 2.0 * (1.0 / _X_CUT ** 2 + 1.0 / _X_CUT)
+# Draws per block of the gap sampler and push_h_samples: 64 KB of floats a
+# buffer, so each block's in-place passes stay in cache.
+_MC_BLOCK = 8192
 
 
 def _half_arc_rule(h, params, terms):
@@ -289,18 +294,42 @@ def sample_joint_gaps(params, size, seed):
     g = b Q ~ Gamma(5/2), b = gauss_rate(a), gives r = 2 sqrt(g / (3b)), and
     theta = arccos(1 - 2U) / 3 has density proportional to sin(3 theta).
     This sampler is the Monte-Carlo oracle for f_H and deliberately avoids
-    the s0/s_star machinery.
+    the s0/s_star machinery. ``size`` is a non-negative integer.
     """
+    size = _checked_int("size", size, 0)
     rng = np.random.default_rng(seed)
-    r = 2.0 * np.sqrt(rng.gamma(2.5, size=size) / (3.0 * gauss_rate(params.a)))
-    theta = np.arccos(1.0 - 2.0 * rng.random(size)) / 3.0
-    return r * np.sin(theta), r * np.sin(np.pi / 3.0 - theta)
+    # All size gammas first, then the uniforms block by block: the stream order
+    # of rng.gamma(2.5, size) (scale 1.0 multiplies exactly) and rng.random(size).
+    # Each block turns gammas into r in the s- buffer and uniforms into theta in
+    # the s+ buffer, with no temporary of size floats.
+    sm = rng.standard_gamma(2.5, size)
+    sp = np.empty(size)
+    sin_theta = np.empty(min(size, _MC_BLOCK))
+    rate = 3.0 * gauss_rate(params.a)
+    for start in range(0, size, _MC_BLOCK):
+        r, theta = sm[start:start + _MC_BLOCK], sp[start:start + _MC_BLOCK]
+        sin_t = sin_theta[:r.size]
+        np.multiply(2.0, np.sqrt(np.divide(r, rate, out=r), out=r), out=r)
+        rng.random(out=theta)
+        np.subtract(1.0, np.multiply(2.0, theta, out=theta), out=theta)
+        np.divide(np.arccos(theta, out=theta), 3.0, out=theta)
+        np.sin(theta, out=sin_t)
+        np.sin(np.subtract(np.pi / 3.0, theta, out=theta), out=theta)
+        np.multiply(r, theta, out=theta)
+        np.multiply(r, sin_t, out=r)
+    return sm, sp
 
 
 def push_h_samples(params, size, seed):
-    """Monte-Carlo oracle: map joint-surmise gap draws through h_hat."""
+    """Monte-Carlo oracle: map joint-surmise gap draws through h_hat.
+
+    h replaces s+ in its buffer, one cache-sized block at a time.
+    """
     sm, sp = sample_joint_gaps(params, size, seed)
-    return h_hat(params.lam, sm, sp, params.p, params.rho)
+    for start in range(0, sp.size, _MC_BLOCK):
+        block = slice(start, start + _MC_BLOCK)
+        sp[block] = h_hat(params.lam, sm[block], sp[block], params.p, params.rho)
+    return sp
 
 
 def phi(u, params):

@@ -110,6 +110,13 @@ class TestHHat:
         assert h_hat(20.0, 0.1, 0.2, 1000, 0.0) == h_hat(20.0, 0.1, 0.2, 1000, 0.09,
                                                          include_correction=False)
 
+    @pytest.mark.parametrize("p", [-1000, 0, 1000.5, True])
+    def test_p_must_be_a_positive_integer(self, p):
+        # p = -1000 flipped the correction term's sign: h_hat read 2.4e6, not 1.36e7.
+        for correction in (True, False):
+            with pytest.raises(ValueError, match="^p must be a positive integer"):
+                h_hat(20.0, 0.01, 0.01, p, 0.07, include_correction=correction)
+
     def test_vectorized(self):
         sm = np.array([0.5, 1.0])
         sp = np.array([0.5, 2.0])

@@ -14,6 +14,7 @@ from eigerr import SpectralDensity, h_hat, joint_gap_pdf
 from eigerr import hdensity
 from eigerr.experiments import _fh_grid, _joint_cell_masses
 from eigerr.hdensity import (
+    _MC_BLOCK,
     F_H,
     HDensityParams,
     _erfc,
@@ -32,6 +33,7 @@ from eigerr.hdensity import (
     tail_integral,
     tail_report,
 )
+from eigerr.spectral import gauss_rate
 
 UNIT = HDensityParams(lam=2.0, p=4, rho=0.25)  # a = 1, dimensionless workhorse
 # Reference point of the fh-density and tail experiments: McKay_20 at lam=20.
@@ -598,7 +600,6 @@ class TestFixedRule:
         # Just above the cut the sums are already exactly 0.0, so the cut
         # changes no value: b s_eq^2 = 746 sits past exp's underflow.
         from eigerr.hdensity import _EXP_UNDERFLOW
-        from eigerr.spectral import gauss_rate
 
         s_cut = math.sqrt(_EXP_UNDERFLOW / gauss_rate(LAM20.a))
         a_c, b_c = LAM20.lam ** 2, LAM20.lam ** 2 * LAM20.a
@@ -622,7 +623,53 @@ class TestFixedRule:
             _half_arc_rule(h, UNIT, lambda x_star, x_eq, x: np.full_like(x, np.nan))
 
 
+def _whole_array_gaps(params, size, seed):
+    # The sampler in whole-array expressions: the blocked one must give its
+    # values bit for bit.
+    rng = np.random.default_rng(seed)
+    r = 2.0 * np.sqrt(rng.gamma(2.5, size=size) / (3.0 * gauss_rate(params.a)))
+    theta = np.arccos(1.0 - 2.0 * rng.random(size)) / 3.0
+    return r * np.sin(theta), r * np.sin(np.pi / 3.0 - theta)
+
+
+def _whole_array_push(params, size, seed):
+    return h_hat(params.lam, *_whole_array_gaps(params, size, seed), params.p, params.rho)
+
+
+def _assert_blocked_equals_whole(params, size, seed):
+    sm, sp = sample_joint_gaps(params, size, seed)
+    want_sm, want_sp = _whole_array_gaps(params, size, seed)
+    np.testing.assert_array_equal(sm, want_sm, strict=True)
+    np.testing.assert_array_equal(sp, want_sp, strict=True)
+    np.testing.assert_array_equal(push_h_samples(params, size, seed),
+                                  _whole_array_push(params, size, seed), strict=True)
+
+
 class TestSampler:
+    @pytest.mark.parametrize("size", [0, 1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
+                                      3 * _MC_BLOCK + 17])
+    @pytest.mark.parametrize("params", [UNIT, LAM20], ids=["unit", "lam20"])
+    def test_blocked_equals_whole_array(self, params, size):
+        _assert_blocked_equals_whole(params, size, seed=5)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), lam=st.floats(0.05, 200.0), p=st.integers(1, 5000),
+           rho=st.floats(1e-3, 1.0))
+    def test_blocked_equals_whole_array_property(self, seed, lam, p, rho):
+        _assert_blocked_equals_whole(HDensityParams(lam=lam, p=p, rho=rho), 2 * _MC_BLOCK + 5,
+                                     seed)
+
+    def test_standard_gamma_is_unit_scale_gamma(self):
+        # The sampler draws standard_gamma; gamma's scale 1.0 multiplies exactly.
+        np.testing.assert_array_equal(np.random.default_rng(3).standard_gamma(2.5, 1000),
+                                      np.random.default_rng(3).gamma(2.5, size=1000))
+
+    @pytest.mark.parametrize("size", [(2, 3), -1, 2.0, True])
+    def test_size_must_be_a_count(self, size):
+        for draw in (sample_joint_gaps, push_h_samples):
+            with pytest.raises(ValueError, match="^size must be a non-negative integer"):
+                draw(UNIT, size, seed=0)
+
     def test_determinism(self):
         a1 = sample_joint_gaps(UNIT, 500, seed=4)
         a2 = sample_joint_gaps(UNIT, 500, seed=4)
