@@ -19,12 +19,11 @@ Each checks that spectrum with ``spectral.checked_spectrum``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _scalar_if_0d, checked_spectrum, eig_sym
+from .spectral import _checked_int, _scalar_if_0d, checked_spectrum, eig_sym
 from .wishart import child_seed, eigenvalue_root, sample_wishart_scaled
 
 # Unused here, but perfbench/spans.py wraps this binding by name.
@@ -154,14 +153,12 @@ def bootstrap_error(eigenvalues, R, n, seed=0):
     reproducible in isolation; ``seed`` may itself be a child seed), pairs
     sample eigenvectors with population ones in sorted-index order, and keeps
     each replicate's sign-aligned residuals; see ``replicate_residuals``.
+    R and n are integers (a bool is not one), with R >= 1 and n >= p.
     """
     ev = checked_spectrum(eigenvalues)
-    if R < 1:
-        raise ValueError("need at least one replicate")
-    if n < 1:
-        raise ValueError("sample count n must be positive")
+    _checked_int("replicate count R", R, 1)
     p = ev.size
-    if n < p:
+    if _checked_int("sample count n", n, 1) < p:
         raise ValueError(f"need n >= p, got n={n}, p={p}")
     root = eigenvalue_root(ev)
     residuals = np.empty((R, p))
@@ -173,14 +170,6 @@ def bootstrap_error(eigenvalues, R, n, seed=0):
     n_mean = scaled.mean(axis=0)
     n_std = scaled.std(axis=0, ddof=1) if R > 1 else np.zeros(p)
     return BootstrapResult(residuals, n_mean, n_std, crossings)
-
-
-def _checked_int(name, value, least):
-    # value, once it is an integer of at least least (0 or 1); a bool is not a count.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        kind = "positive" if least else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, not {value!r}")
-    return value
 
 
 def _checked_h(h):

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import eig_sym
+from .spectral import _checked_int, eig_sym
 
 __all__ = [
     "RegularGraph",
@@ -93,10 +93,9 @@ def sample_regular_graph(p, k, seed):
 
     Stub pairing with recycling of collided stubs; a full restart happens
     only when no leftover pair can form a new edge. Deterministic per seed.
-    Requires p > k >= 1 and p*k even.
+    Requires integers p > k >= 1 with p*k even.
     """
-    p, k = int(p), int(k)
-    if k < 1 or p <= k:
+    if _checked_int("k", k, 1) >= _checked_int("p", p, 1):
         raise ValueError(f"need p > k >= 1, got p={p}, k={k}")
     if (p * k) % 2 != 0:
         raise ValueError(f"p*k must be even, got p={p}, k={k}")

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import _checked_h, _checked_int, h_hat
-from .spectral import _gap_scale, _scalar_if_0d, gauss_rate
+from .estimators import _checked_h, h_hat
+from .spectral import _checked_int, _gap_scale, _scalar_if_0d, gauss_rate
 
 __all__ = [
     "HDensityParams",

@@ -1,14 +1,14 @@
 """Symmetric eigendecomposition, bulk spectral densities, eigengap records,
 and the GOE spacing surmises.
 
-Densities come in two flavors: the analytic McKay law for k-regular graph
-spectra (``SpectralDensity.mckay`` shifts it by k, so it applies to Laplacian
-rather than adjacency eigenvalues) and an empirical ensemble-averaged
-histogram with linear interpolation between bin centers.
+A bulk density rho is a function of lambda: McKay's law for the k-regular
+Laplacian spectrum (``SpectralDensity.mckay(k)``), or the ensemble-averaged
+histogram of ``estimate_density``, interpolated linearly between bin centers.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,9 +25,6 @@ __all__ = [
     "wigner_surmise_cdf",
     "joint_gap_pdf",
 ]
-
-SYMMETRY_RTOL = 1e-10
-
 
 def _scalar_if_0d(out):
     # The one return rule of every public numeric function: a scalar argument
@@ -50,7 +47,7 @@ def eig_sym(m, eigvals_only=False):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.array_equal(m, m.T):
         scale = np.abs(m).max()
-        if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
+        if scale > 0 and np.abs(m - m.T).max() > 1e-10 * scale:
             raise ValueError("matrix is not symmetric within tolerance")
         m = (m + m.T) / 2.0
     if eigvals_only:
@@ -59,54 +56,46 @@ def eig_sym(m, eigvals_only=False):
     return w, v
 
 
-def mckay_density(lam, k, shift=0.0):
-    """Bulk spectral density of random k-regular graphs (McKay's law).
+def _checked_int(name, value, least):
+    # value, once it is an integer of at least least (0 or 1); a bool is not a count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, not {value!r}")
+    return value
 
-    Evaluated at mu = lam - shift; with shift = k this gives the bulk
-    density of the k-regular Laplacian spectrum, since L = k*I - A and the
-    adjacency law is symmetric about 0. Zero outside |mu| <= 2*sqrt(k-1).
+
+def mckay_density(lam, k):
+    """Bulk spectral density of random k-regular graph adjacency matrices (McKay's law).
+
+    Zero outside |lam| < 2*sqrt(k-1); k must be an integer of at least 2.
     """
-    if k < 2:
+    if _checked_int("k", k, 1) < 2:
         raise ValueError("McKay's law requires degree k >= 2")
-    mu = np.asarray(lam, dtype=float) - shift
+    lam = np.asarray(lam, dtype=float)
     edge2 = 4.0 * (k - 1.0)
-    inside = mu * mu < edge2
-    mu_in = np.where(inside, mu, 0.0)
-    return _scalar_if_0d(np.where(
-        inside,
-        k * np.sqrt(edge2 - mu_in * mu_in) / (2.0 * np.pi * (k * k - mu_in * mu_in)),
-        0.0,
-    ))
+    inside = lam * lam < edge2
+    lam2 = np.where(inside, lam * lam, 0.0)
+    rho = k * np.sqrt(edge2 - lam2) / (2.0 * np.pi * (k * k - lam2))
+    return _scalar_if_0d(np.where(inside, rho, 0.0))
 
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Evaluable bulk density rho(lambda), analytic or empirical.
+    """Empirical bulk density: linear interpolation through (grid, weights), 0 outside.
 
-    kind is "analytic-mckay" (parameters k, shift) or "empirical"
-    (grid of bin centers, density weights, bandwidth = bin width).
-    Evaluates to 0 outside `support`.
+    grid holds the bin centers, weights the density there, bandwidth the bin width.
     """
 
-    kind: str
-    support: tuple[float, float]
-    k: int | None = None
-    shift: float | None = None
-    grid: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    bandwidth: float | None = None
+    grid: np.ndarray
+    weights: np.ndarray
+    bandwidth: float
 
-    @classmethod
-    def mckay(cls, k):
-        """Analytic McKay density of the k-regular Laplacian spectrum (shift k)."""
-        shift = float(k)
-        half = 2.0 * np.sqrt(k - 1.0)
-        return cls(kind="analytic-mckay", support=(shift - half, shift + half),
-                   k=int(k), shift=shift)
+    @staticmethod
+    def mckay(k):
+        """McKay's law of the k-regular Laplacian k*I - A (the adjacency law is even)."""
+        return lambda lam: mckay_density(np.subtract(lam, k), k)
 
     def __call__(self, lam):
-        if self.kind == "analytic-mckay":
-            return mckay_density(lam, self.k, self.shift)
         return _scalar_if_0d(np.interp(lam, self.grid, self.weights, left=0.0, right=0.0))
 
 
@@ -117,7 +106,7 @@ def estimate_density(pools, bin_width=None):
     per-matrix histograms are averaged and the piecewise-linear interpolant
     through the bin centers is rescaled so it integrates to exactly 1.
     Default bin width follows the Freedman-Diaconis rule on the pooled
-    sample.
+    sample. A NaN or infinite eigenvalue raises ``ValueError``.
     """
     pools = [np.asarray(pool, dtype=float).ravel() for pool in pools]
     pools = [pool for pool in pools if pool.size]
@@ -125,15 +114,16 @@ def estimate_density(pools, bin_width=None):
         raise ValueError("empty eigenvalue pool")
     pooled = np.concatenate(pools)
 
-    lo, hi = pooled.min(), pooled.max()
+    lo, hi = pooled.min(), pooled.max()  # both propagate NaN
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("eigenvalues must be finite")
     if bin_width is None:
         q75, q25 = np.percentile(pooled, [75.0, 25.0])
-        iqr = q75 - q25
-        bin_width = 2.0 * iqr / pooled.size ** (1.0 / 3.0)
+        bin_width = 2.0 * (q75 - q25) / pooled.size ** (1.0 / 3.0)
         if bin_width <= 0:
             bin_width = (hi - lo) / max(10, int(np.sqrt(pooled.size))) or 1.0
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    if not 0 < bin_width < np.inf:  # False for NaN too
+        raise ValueError("bin width must be positive and finite")
 
     if hi - lo < bin_width:
         # Degenerate pool: a flat table of mass 1 over one bin width around the data.
@@ -150,10 +140,7 @@ def estimate_density(pools, bin_width=None):
         if total <= 0:
             raise ValueError("degenerate histogram: zero total mass")
         weights = weights / total
-    return SpectralDensity(
-        kind="empirical", support=(float(centers[0]), float(centers[-1])),
-        grid=centers, weights=weights, bandwidth=float(bin_width),
-    )
+    return SpectralDensity(grid=centers, weights=weights, bandwidth=float(bin_width))
 
 
 class GapRecords(NamedTuple):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import eig_sym
+from .spectral import _checked_int, eig_sym
 
 __all__ = [
     "eigenvalue_root",
@@ -73,18 +73,17 @@ def sample_wishart_scaled(c_sqrt, n, seed):
     A p x p ``c_sqrt`` is the root R with C = R R^T and the draw is
     R (A A^T / n) R^T; a 1-D ``c_sqrt`` of length p is the diagonal root
     D^(1/2), applied as a row scaling, and the draw is D^(1/2) (A A^T / n)
-    D^(1/2), i.e. C_tilde in C's eigenbasis. Requires the classical regime
-    n >= p. Deterministic per seed: the same seed draws the same A for
-    either kind of root. Returns the p x p draw as an array. numpy computes
-    B B^T with one SYRK call, which mirrors one triangle, so the draw is
-    exactly symmetric.
+    D^(1/2), i.e. C_tilde in C's eigenbasis. Requires an integer n in the
+    classical regime n >= p. Deterministic per seed: the same seed draws the
+    same A for either kind of root. Returns the p x p draw as an array. numpy
+    computes B B^T with one SYRK call, which mirrors one triangle, so the
+    draw is exactly symmetric.
     """
     c_sqrt = np.asarray(c_sqrt, dtype=float)
     if c_sqrt.ndim not in (1, 2):
         raise ValueError(f"root must be 1-D or 2-D, got shape {c_sqrt.shape}")
     p = c_sqrt.shape[0]
-    n = int(n)
-    if n < p:
+    if _checked_int("sample count n", n, 1) < p:
         raise ValueError(f"need n >= p (classical regime), got n={n}, p={p}")
     rng = np.random.default_rng(seed)
     a = np.zeros((p, p))

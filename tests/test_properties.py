@@ -6,11 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigerr import (
+    SpectralDensity,
     bootstrap_error,
     extract_gap_records,
     h_exact_all,
+    mckay_density,
     regime_violation,
+    sample_regular_graph,
     sample_size_bound,
+    sample_wishart_scaled,
 )
 from oracles import h_exact
 
@@ -129,6 +133,27 @@ def test_one_spectrum_guard(ev, kind, at):
             statistic()
         messages.add(str(raised.value))
     assert len(messages) == 1
+
+
+# One count argument of each function that takes counts, the others valid.
+COUNTS = {
+    "bootstrap_error R": lambda v: bootstrap_error([1.0, 2.0], R=v, n=10),
+    "bootstrap_error n": lambda v: bootstrap_error([1.0, 2.0], R=2, n=v),
+    "sample_wishart_scaled n": lambda v: sample_wishart_scaled(np.ones(2), v, 0),
+    "sample_regular_graph p": lambda v: sample_regular_graph(v, 1, 0),
+    "sample_regular_graph k": lambda v: sample_regular_graph(12, v, 0),
+    "mckay_density k": lambda v: mckay_density(0.0, v),
+    "SpectralDensity.mckay k": lambda v: SpectralDensity.mckay(v)(20.0),
+}
+
+
+@pytest.mark.parametrize("value", [1000.5, 10.7, 2.0, np.nan, np.inf, True], ids=str)
+@pytest.mark.parametrize("count", COUNTS)
+def test_one_count_rule(count, value):
+    # A count that is not an integer is refused, never truncated: 2 runs, 2.0 does not.
+    COUNTS[count](2)
+    with pytest.raises(ValueError, match="must be a positive integer, not "):
+        COUNTS[count](value)
 
 
 # Integer spectra: every gap is at least 1e-3 of the largest eigenvalue, so

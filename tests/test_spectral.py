@@ -88,12 +88,41 @@ class TestEigSym:
             eig_sym(m, eigvals_only=True)
 
 
+def _shifted_mckay(lam, k, shift):
+    # McKay's law evaluated at lam - shift, as mckay_density computed it while
+    # it took a shift: the oracle that SpectralDensity.mckay(k) must match.
+    mu = np.asarray(lam, dtype=float) - shift
+    edge2 = 4.0 * (k - 1.0)
+    inside = mu * mu < edge2
+    mu_in = np.where(inside, mu, 0.0)
+    out = np.where(
+        inside,
+        k * np.sqrt(edge2 - mu_in * mu_in) / (2.0 * np.pi * (k * k - mu_in * mu_in)),
+        0.0,
+    )
+    return out.item() if out.ndim == 0 else out
+
+
 class TestMcKay:
     def test_center_value(self):
         # at the band center the law evaluates to 2*sqrt(19)/(40*pi)
         expect = 2.0 * np.sqrt(19.0) / (40.0 * np.pi)
         assert mckay_density(0.0, 20) == pytest.approx(expect, rel=1e-12)
-        assert mckay_density(20.0, 20, shift=20.0) == pytest.approx(expect, rel=1e-12)
+        assert SpectralDensity.mckay(20)(20.0) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 20, 100])
+    def test_laplacian_law_is_the_shifted_law_bit_for_bit(self, k):
+        # a grid through both edges k -+ 2 sqrt(k-1), their neighboring floats,
+        # the center and points beyond the support on both sides
+        half = 2.0 * np.sqrt(k - 1.0)
+        edges = np.array([k - half, k + half])
+        grid = np.concatenate([np.linspace(k - 1.5 * half, k + 1.5 * half, 1001), edges,
+                               np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        d = SpectralDensity.mckay(k)
+        np.testing.assert_array_equal(d(grid), _shifted_mckay(grid, k, float(k)), strict=True)
+        for lam in grid[-6:].tolist() + [float(k), 0.0]:
+            np.testing.assert_array_equal(d(lam), _shifted_mckay(lam, k, float(k)), strict=True)
+            assert type(d(lam)) is float
 
     def test_outside_support_zero(self):
         edge = 2.0 * np.sqrt(19.0)
@@ -112,12 +141,21 @@ class TestMcKay:
             mckay_density(0.0, 1)
 
     def test_density_object_support(self):
-        d = SpectralDensity.mckay(20)
-        lo, hi = d.support
-        assert lo == pytest.approx(20.0 - 2.0 * np.sqrt(19.0))
-        assert hi == pytest.approx(20.0 + 2.0 * np.sqrt(19.0))
-        assert d(20.0) > 0
-        assert d(0.0) == 0.0
+        # zero at and beyond the edges k -+ 2 sqrt(k-1), positive just inside. An
+        # edge is its nearest float outside the support: where k -+ 2 sqrt(k-1)
+        # rounds inward, the next float outward.
+        for k in (2, 3, 20, 100):
+            d = SpectralDensity.mckay(k)
+            half = 2.0 * np.sqrt(k - 1.0)
+            for edge, outward in ((k - half, -1.0), (k + half, 1.0)):
+                if abs(edge - k) < half:
+                    edge = np.nextafter(edge, outward * np.inf)
+                assert d(edge) == 0.0
+                for beyond in (1e-9, 1e-3, 1.0, half):
+                    assert d(edge + outward * beyond) == 0.0
+                assert d(edge - outward * 1e-6) > 0.0
+            assert d(float(k)) > 0.0
+            assert d(0.0) == 0.0
 
 
 class TestEstimateDensity:
@@ -136,8 +174,7 @@ class TestEstimateDensity:
     def test_integrates_to_one_exactly(self, rng):
         pools = [rng.normal(size=300) for _ in range(4)]
         d = estimate_density(pools)
-        lo, hi = d.support
-        grid = np.linspace(lo, hi, 20001)
+        grid = np.linspace(d.grid[0], d.grid[-1], 20001)
         total = np.trapezoid(d(grid), grid)
         assert abs(total - 1.0) < 1e-6
 
@@ -150,6 +187,19 @@ class TestEstimateDensity:
         with pytest.raises(ValueError):
             estimate_density([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bin_width", [None, 0.5])
+    def test_non_finite_eigenvalue_rejected(self, bad, bin_width):
+        # refused by name, with no RuntimeWarning on the way (warnings are errors)
+        pools = [np.linspace(0.0, 5.0, 60), np.array([1.0, bad, 2.0])]
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            estimate_density(pools, bin_width=bin_width)
+
+    @pytest.mark.parametrize("bin_width", [0.0, -0.5, np.nan, np.inf])
+    def test_bin_width_must_be_positive_and_finite(self, bin_width):
+        with pytest.raises(ValueError, match="bin width must be positive and finite"):
+            estimate_density([np.linspace(0.0, 5.0, 60)], bin_width=bin_width)
+
     def test_l1_against_mckay_bulk(self):
         # ensemble-averaged histogram converges to the shifted McKay law
         mats = [laplacian(sample_regular_graph(500, 20, seed=s)) for s in range(50)]
@@ -158,7 +208,7 @@ class TestEstimateDensity:
         lo = 20.0 - 2.0 * np.sqrt(19.0)
         hi = 20.0 + 2.0 * np.sqrt(19.0)
         grid = np.linspace(lo, hi, 4001)
-        l1 = np.trapezoid(np.abs(d(grid) - mckay_density(grid, 20, shift=20.0)), grid)
+        l1 = np.trapezoid(np.abs(d(grid) - SpectralDensity.mckay(20)(grid)), grid)
         assert l1 <= 0.08
 
 
