@@ -162,13 +162,20 @@ def _window_records(config, spectra):
     return records, matrix
 
 
-def _density_at(density, name, lambda0):
-    # The density at the window centre, which every law scaled by rho needs.
-    rho = float(density(lambda0))
-    if rho <= 0:
-        raise RuntimeError(f"{name} density vanishes at lambda0={lambda0}; "
-                           "choose a window inside the bulk")
-    return rho
+def _density_at(density, name, lambda0, delta):
+    """rho(lambda0), once rho is positive at lambda0 and at both window ends.
+
+    Otherwise raises ``RuntimeError`` naming the first of these points where
+    rho vanishes. For a density whose support is one interval, such as
+    McKay's law or the ensemble histogram of one bulk, that is rho > 0 on the
+    whole window [lambda0 - delta, lambda0 + delta]. A runner that reads no
+    window passes delta = 0.
+    """
+    for label, at in (("lambda0", lambda0), ("lambda", lambda0 - delta), ("lambda", lambda0 + delta)):
+        if not density(at) > 0:
+            raise RuntimeError(f"{name} density vanishes at {label}={at}; "
+                               "choose a window inside the bulk")
+    return float(density(lambda0))
 
 
 ESTIMATE_COLUMNS = ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
@@ -256,7 +263,7 @@ def _run_density(config):
 
 
 def _run_spacing(config):
-    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0)
+    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0, config.delta)
     spectra, _ = _sample_ensemble(config)
     records, _ = _window_records(config, spectra)
     normalized = config.p * records.s_plus
@@ -278,7 +285,7 @@ def _run_spacing(config):
 
 
 def _run_joint_gaps(config):
-    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0)
+    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0, config.delta)
     spectra, _ = _sample_ensemble(config)
     records, _ = _window_records(config, spectra)
     count = records.index.size
@@ -364,7 +371,7 @@ def _fh_table(grid, fh, params):
 def _run_fh_density(config):
     spectra, _ = _sample_ensemble(config)
     density = _ensemble_density(spectra)
-    rho0 = _density_at(density, "empirical", config.lambda0)
+    rho0 = _density_at(density, "empirical", config.lambda0, config.delta)
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
     cols = _index_columns(config, spectra, density, *_window_records(config, spectra))
     _bootstrap_columns(config, spectra, cols)
@@ -383,7 +390,8 @@ def _run_fh_density(config):
 
 
 def _run_tail(config):
-    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0)
+    # None of its outputs reads delta, so the window is lambda0 alone.
+    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0, 0.0)
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho)
     report = tail_report(params)
     return {
@@ -454,53 +462,40 @@ def run(experiment, config):
 
 
 def validate(config):
-    """Pre-flight checks; returns a report dict with warnings only.
+    """Pre-flight checks on a pilot of min(M, 5) matrices; returns a report dict.
 
-    Flags `regime_violation` when any configured n falls below the h/2 bound
-    for a pilot estimate at lambda0, and `delta_sensitivity` when the
-    delta-normalized gap-record rate shifts by more than 20% under halving
-    or doubling of delta.
+    The pilot runs the runners' own window guards on its empirical density
+    and gap records. Each guard that fails adds a warning with its message:
+    `window_outside_bulk` when the density vanishes at lambda0 or at a window
+    end, `empty_window` when no eigenvalue lies within delta of lambda0. When
+    both pass, `pilot_h_hat` is the median h_hat over the window's records,
+    `bound_n` its h/2 bound, and each configured n below that bound adds a
+    `regime_violation` warning. `ok` is true when there is no warning.
     """
-    pilot_count = min(config.M, 5)
-    spectra, _ = _sample_ensemble(config, count=pilot_count)
-    density = _ensemble_density(spectra)
+    spectra, _ = _sample_ensemble(config, count=min(config.M, 5))
     warnings = []
+    try:
+        rho0 = _density_at(_ensemble_density(spectra), "empirical", config.lambda0, config.delta)
+    except RuntimeError as error:
+        warnings.append(f"window_outside_bulk: {error}")
+    try:
+        records, _ = _window_records(config, spectra)
+    except RuntimeError as error:
+        warnings.append(f"empty_window: {error}")
 
-    records, _ = _pool_gap_records(spectra, config.lambda0, config.delta)
     pilot_h = bound_n = None
-    if records.index.size:
-        rho0 = float(density(config.lambda0))
-        if rho0 > 0:
-            hh = h_hat(records.lam, records.s_minus, records.s_plus, config.p, rho0)
-            pilot_h = float(np.median(hh))
-            bound_n = sample_size_bound(pilot_h)
-            for n in config.n:
-                if regime_violation(n, pilot_h):
-                    warnings.append(
-                        f"regime_violation: n={n} is below the bound "
-                        f"{bound_n:.3g} implied by the pilot estimate")
-        else:
-            warnings.append("window_outside_bulk: density vanishes at lambda0")
-    else:
-        warnings.append("empty_window: no eigenvalues within delta of lambda0")
-
-    rates = {}
-    for label, d in (("half", config.delta / 2), ("base", config.delta), ("double", config.delta * 2)):
-        pooled = records if label == "base" else _pool_gap_records(spectra, config.lambda0, d)[0]
-        rates[label] = pooled.index.size / (2.0 * d * pilot_count)
-    if rates["base"] > 0:
-        for label in ("half", "double"):
-            shift = abs(rates[label] / rates["base"] - 1.0)
-            if shift > 0.2:
-                warnings.append(
-                    f"delta_sensitivity: {label} delta shifts the normalized "
-                    f"record rate by {100 * shift:.0f}%")
+    if not warnings:
+        pilot_h = float(np.median(h_hat(records.lam, records.s_minus, records.s_plus,
+                                         config.p, rho0)))
+        bound_n = sample_size_bound(pilot_h)
+        warnings += [f"regime_violation: n={n} is below the bound {bound_n:.3g} "
+                     "implied by the pilot estimate"
+                     for n in config.n if regime_violation(n, pilot_h)]
 
     return {
         "config": config.as_dict(),
         "pilot_h_hat": pilot_h,
         "bound_n": bound_n,
-        "record_rates_per_unit_delta": rates,
         "warnings": warnings,
         "ok": not warnings,
     }

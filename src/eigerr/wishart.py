@@ -33,7 +33,9 @@ def child_seed(master_seed, *key):
     # is child_seed(s, a, b).
     if isinstance(master_seed, np.random.SeedSequence):
         return child_seed(master_seed.entropy, *master_seed.spawn_key, *key)
-    return np.random.SeedSequence(master_seed, spawn_key=tuple(int(x) for x in key))
+    # A key is refused, never truncated: int(1.5) and int(True) would both be key 1.
+    key = tuple(_checked_int("child_seed key", x, 0) for x in key)
+    return np.random.SeedSequence(master_seed, spawn_key=key)
 
 
 def eigenvalue_root(w):

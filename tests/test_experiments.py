@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from eigerr import HDensityParams, SpectralDensity, extract_gap_records, tail_report
+from eigerr import estimate_density, h_hat
 from eigerr import bootstrap_error, eigenvalue_root, replicate_residuals
 from eigerr import experiments, laplacian, sample_regular_graph
 from eigerr.wishart import child_seed
@@ -163,6 +164,17 @@ class TestRunners:
         # fh_tail.csv carries the report's own grid and f_H values.
         rows = read_csv(tmp_path / "fh_tail.csv")[1:]
         assert [(float(h), float(fh)) for h, fh, _ in rows] == list(zip(report.h_grid, report.fh))
+
+    def test_tail_ignores_delta(self, tmp_path):
+        # No output of tail reads delta: a window at lambda0 = 7 that crosses
+        # McKay's upper edge 4 + 2 sqrt(3) is not refused, and delta moves no byte.
+        data = []
+        for delta in (0.5, 1.0):
+            out = tmp_path / str(delta)
+            run("tail", ExperimentConfig(out=out, n=(1000,),
+                                         **{**SMALL, "lambda0": 7.0, "delta": delta}))
+            data.append({name: (out / name).read_bytes() for name in ("tail.json", "fh_tail.csv")})
+        assert data[0] == data[1]
 
     @pytest.mark.parametrize("experiment", ["hhat-vs-h", "bootstrap-vs-hhat", "fh-density"])
     def test_determinism_across_runs_and_threads(self, tmp_path, experiment):
@@ -332,40 +344,52 @@ class TestValidate:
         report = validate(cfg)
         assert any(w.startswith("empty_window") for w in report["warnings"])
 
-    def test_delta_sensitivity_flat_bulk_is_clean(self):
-        # at the bulk center the delta-normalized record rate is stable,
-        # so rescaling delta raises no warning
+    def test_both_window_guards_reported(self):
+        # Far past the bulk the density vanishes and the window is empty: one
+        # warning per failing guard, and no pilot estimate.
+        cfg = ExperimentConfig(p=60, k=4, M=2, R=1, n=(10 ** 9,),
+                               lambda0=300.0, delta=0.5, seed=5)
+        report = validate(cfg)
+        assert report["warnings"] == [
+            "window_outside_bulk: empirical density vanishes at lambda0=300.0; "
+            "choose a window inside the bulk",
+            "empty_window: no eigenvalues within delta of lambda0=300.0"]
+        assert report["pilot_h_hat"] is None and not report["ok"]
+
+    def test_bulk_centre_window_is_clean(self):
         cfg = ExperimentConfig(p=500, k=20, M=5, n=(10 ** 12,),
                                lambda0=20.0, delta=1.0, seed=5)
         report = validate(cfg)
-        assert not any(w.startswith("delta_sensitivity") for w in report["warnings"])
+        assert report["warnings"] == [] and report["ok"]
 
-    def test_delta_sensitivity_warns_near_edge(self):
-        # a window straddling the spectral edge makes the rate delta-dependent
+    def test_window_outside_bulk_near_edge(self):
+        # McKay's upper edge is 20 + 2 sqrt(19) = 28.72: the window 28.5 -+ 1
+        # holds eigenvalues, but its upper end lies past the bulk.
         cfg = ExperimentConfig(p=500, k=20, M=5, n=(10 ** 12,),
                                lambda0=28.5, delta=1.0, seed=5)
         report = validate(cfg)
-        assert any(w.startswith("delta_sensitivity") for w in report["warnings"])
+        assert report["warnings"] == [
+            "window_outside_bulk: empirical density vanishes at lambda=29.5; "
+            "choose a window inside the bulk"]
+        assert report["pilot_h_hat"] is None and not report["ok"]
 
-    def test_three_extractions_per_pilot_matrix(self, monkeypatch):
-        # The base-delta records serve both the pilot estimate and the base
-        # rate, so each pilot matrix is scanned once per delta.
+    def test_one_extraction_per_pilot_matrix(self, monkeypatch):
+        # The pilot pools each matrix's window records once, as the runners do.
         cfg = ExperimentConfig(n=(10 ** 9,), **SMALL)
-        mats = [laplacian(sample_regular_graph(cfg.p, cfg.k, child_seed(cfg.seed, 0, m)))
-                for m in range(cfg.M)]
-        expected = {}
-        for label, d in (("half", 0.5), ("base", 1.0), ("double", 2.0)):
-            count = sum(extract_gap_records(m.eigenvalues, cfg.lambda0, d).index.size
-                        for m in mats)
-            expected[label] = count / (2.0 * d * cfg.M)
+        graphs = [sample_regular_graph(cfg.p, cfg.k, child_seed(cfg.seed, 0, m)) for m in range(cfg.M)]
+        spectra = np.array([laplacian(g).eigenvalues for g in graphs])
+        records = [extract_gap_records(ev, cfg.lambda0, cfg.delta) for ev in spectra]
+        lam, s_minus, s_plus = (np.concatenate([getattr(r, name) for r in records])
+                                for name in ("lam", "s_minus", "s_plus"))
+        rho0 = estimate_density(spectra[:, 1:])(cfg.lambda0)
         calls = []
         extract = experiments.extract_gap_records
         monkeypatch.setattr(experiments, "extract_gap_records",
                             lambda *args: calls.append(args) or extract(*args))
         report = validate(cfg)
-        assert list(report["record_rates_per_unit_delta"].items()) == list(expected.items())
-        assert report["pilot_h_hat"] is not None and report["ok"]
-        assert len(calls) == 3 * cfg.M
+        assert report["pilot_h_hat"] == float(np.median(h_hat(lam, s_minus, s_plus, cfg.p, rho0)))
+        assert report["ok"] and "record_rates_per_unit_delta" not in report
+        assert len(calls) == cfg.M
 
 
 class TestCli:
@@ -444,6 +468,15 @@ class TestCli:
             ("spacing", "4", "1e-9", "no eigenvalues within delta of lambda0=4.0"),
             ("joint-gaps", "4", "1e-9", "no eigenvalues within delta of lambda0=4.0"),
             ("fh-density", "4", "1e-9", "no eigenvalues within delta of lambda0=4.0"),
+            # lambda0 inside the bulk, one window end past it: McKay's edges are
+            # 4 -+ 2 sqrt(3), and the empirical density of these two matrices is
+            # positive on about (1.4, 6.9) only
+            ("spacing", "7", "1", "McKay density vanishes at lambda=8.0;"),
+            ("joint-gaps", "7", "1", "McKay density vanishes at lambda=8.0;"),
+            ("spacing", "1", "1", "McKay density vanishes at lambda=0.0;"),
+            ("joint-gaps", "1", "1", "McKay density vanishes at lambda=0.0;"),
+            ("fh-density", "6", "1", "empirical density vanishes at lambda=7.0;"),
+            ("fh-density", "2", "1", "empirical density vanishes at lambda=1.0;"),
         ]
         for i, (experiment, lambda0, delta, message) in enumerate(cases):
             code = main(["run", experiment, "--p", "60", "--k", "4", "--M", "2",
@@ -454,6 +487,7 @@ class TestCli:
             assert record["error"] == "RuntimeError"
             assert record["message"].startswith(message)
             assert record["experiment"] == experiment
+            assert not any((tmp_path / str(i)).iterdir())
 
     @pytest.mark.parametrize("experiment", ["hhat-vs-h", "bootstrap-vs-hhat", "bound-scatter"])
     def test_failed_run_writes_nothing(self, tmp_path, capsys, experiment):

@@ -16,6 +16,7 @@ from eigerr import (
     sample_size_bound,
     sample_wishart_scaled,
 )
+from eigerr.wishart import child_seed
 from oracles import h_exact
 
 # Fixed example sequence and no example database, so every run draws the same cases.
@@ -144,6 +145,8 @@ COUNTS = {
     "sample_regular_graph k": lambda v: sample_regular_graph(12, v, 0),
     "mckay_density k": lambda v: mckay_density(0.0, v),
     "SpectralDensity.mckay k": lambda v: SpectralDensity.mckay(v)(20.0),
+    # A key counts from 0, so it is a non-negative integer, not a positive one.
+    "child_seed key": lambda v: child_seed(5, 0, v),
 }
 
 
@@ -152,7 +155,8 @@ COUNTS = {
 def test_one_count_rule(count, value):
     # A count that is not an integer is refused, never truncated: 2 runs, 2.0 does not.
     COUNTS[count](2)
-    with pytest.raises(ValueError, match="must be a positive integer, not "):
+    kind = "non-negative" if count == "child_seed key" else "positive"
+    with pytest.raises(ValueError, match=f"must be a {kind} integer, not "):
         COUNTS[count](value)
 
 
