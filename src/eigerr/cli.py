@@ -50,30 +50,22 @@ _FLAGS = {
 
 
 def _add_flags(parser):
+    # An EIGERR_* value is a string default, which argparse parses as if it
+    # had been typed: a flag beats it, and a bad one is a parse error.
     defaults = ExperimentConfig().as_dict()
-    for name, (_, help_text) in _FLAGS.items():
+    for name, (caster, help_text) in _FLAGS.items():
         default = defaults[name]
         if name == "n":
             default = ",".join(map(str, default))
-        parser.add_argument(f"--{name}", type=str, default=None,
-                            help=f"{help_text} (env {ENV_PREFIX}{name.upper()}, "
-                                 f"default {default})")
+        env = ENV_PREFIX + name.upper()
+        parser.add_argument(f"--{name}", type=caster, default=os.environ.get(env),
+                            help=f"{help_text} (env {env}, default {default})")
 
 
 def _resolve(args):
     # Only flags and env vars actually given; ExperimentConfig fills the rest.
-    values = {}
-    for name, (caster, _) in _FLAGS.items():
-        raw = getattr(args, name)
-        if raw is None:
-            raw = os.environ.get(ENV_PREFIX + name.upper())
-        if raw is None:
-            continue
-        try:
-            values[name] = caster(raw)
-        except ValueError as exc:  # e.g. --p abc
-            raise ConfigError(f"bad value for --{name}: {raw!r}") from exc
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**{name: value for name in _FLAGS
+                               if (value := getattr(args, name)) is not None})
 
 
 def build_parser():

@@ -54,9 +54,10 @@ class ConfigError(ValueError):
 
 
 def _integral(name, value):
-    # 1e3 is 1000, but 1000.5 is not a count: refuse it, never round it.
+    # 1e3 is 1000, but 1000.5 is not a count: refuse it, never round it. Nor
+    # is a bool, or seed=True would silently reuse seed 1's streams.
     try:
-        if value == int(value):
+        if not isinstance(value, (bool, np.bool_)) and value == int(value):
             return int(value)
     except (OverflowError, TypeError, ValueError):  # inf, None, nan
         pass
@@ -92,8 +93,6 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
         object.__setattr__(self, "out", Path(self.out))
         problems = []
-        if self.p < 2:
-            problems.append("p must be >= 2")
         # k = 1 is a perfect matching, whose spectrum is only 0s and 2s: it has
         # no simple spectrum and no McKay law.
         if not 2 <= self.k < self.p:
@@ -108,6 +107,8 @@ class ExperimentConfig:
             problems.append("lambda0 must be finite")
         if not 0 < self.delta < np.inf:  # False for NaN too
             problems.append("delta must be positive and finite")
+        if self.seed < 0:  # numpy's seed sequences take no negative entropy
+            problems.append("seed must be >= 0")
         if self.threads < 1:
             problems.append("threads must be >= 1")
         if problems:
@@ -183,17 +184,25 @@ ESTIMATE_COLUMNS = ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
 HDENSITY_COLUMNS = ["h", "f_H", "F_H"]
 
 
-def _at(per_matrix, matrix, index):
-    # Row `matrix`, 1-based `index` of a list of per-matrix (p,) arrays: the
-    # one place a per-index table reads a matrix's values.
-    return np.array(per_matrix)[matrix, index - 1]
+def _bootstraps(config, spectra):
+    # One BootstrapResult per matrix (row of spectra), each from the matrix's
+    # own child seed, so neither the pool width nor the order moves a value.
+    def boot(m):
+        seed = int(child_seed(config.seed, 1, m).generate_state(1)[0])
+        return bootstrap_error(spectra[m], config.R, config.n[0], seed=seed)
+
+    return _map_indexed(boot, len(spectra), config.threads)
 
 
-def _index_columns(config, spectra, density, records, matrix):
-    # One row per gap record; `matrix` indexes rows of `spectra`. The bootstrap
-    # columns stay empty until _bootstrap_columns fills them.
-    hx = _at([h_exact_all(ev) for ev in spectra], matrix, records.index)
+def _index_columns(config, spectra, density, records, matrix, boots=()):
+    # The finished per-index table: one row per gap record, the columns in
+    # file order. `matrix` indexes rows of `spectra` and of `boots`; with no
+    # `boots` the two bootstrap columns stay empty. A new predictor is one more
+    # entry here and one more name in ESTIMATE_COLUMNS.
+    row = (matrix, records.index - 1)
+    hx = np.array([h_exact_all(ev) for ev in spectra])[row]
     local = (records.lam, records.s_minus, records.s_plus, config.p, density(records.lam))
+    empty = [None] * hx.size
     return {
         "matrix": matrix,
         "index": records.index,
@@ -201,23 +210,10 @@ def _index_columns(config, spectra, density, records, matrix):
         "h_exact": hx,
         "h_hat": h_hat(*local),
         "h_hat_uncorrected": h_hat(*local, include_correction=False),
-        "n_mean_error": [None] * hx.size,
-        "n_std_error": [None] * hx.size,
+        "n_mean_error": np.array([b.n_mean for b in boots])[row] if boots else empty,
+        "n_std_error": np.array([b.n_std for b in boots])[row] if boots else empty,
         "regime_violation": regime_violation(config.n[0], hx),
     }
-
-
-def _bootstrap_columns(config, spectra, cols):
-    # Bootstraps each matrix from its own child seed, fills each row from its
-    # matrix's result and returns the results.
-    def boot(m):
-        seed = int(child_seed(config.seed, 1, m).generate_state(1)[0])
-        return bootstrap_error(spectra[m], config.R, config.n[0], seed=seed)
-
-    boots = _map_indexed(boot, len(spectra), config.threads)
-    cols["n_mean_error"] = _at([b.n_mean for b in boots], cols["matrix"], cols["index"])
-    cols["n_std_error"] = _at([b.n_std for b in boots], cols["matrix"], cols["index"])
-    return boots
 
 
 def _cell(v):
@@ -318,18 +314,19 @@ def _joint_cell_masses(edges, p, rho, refine=6):
     return pdf.reshape(nb, nb, -1).sum(axis=-1) * dx[:, None] * dx[None, :]
 
 
-def _first_matrix_columns(config):
-    # Every interior index of the first matrix, against the density of all M
-    # spectra. Each of them passes the gap guard, as a window's records do: a
-    # disconnected matrix would put a second zero mode into the density.
+def _first_matrix(config):
+    # The inputs of the first matrix's per-index table: its spectrum as a
+    # one-row array, the density of all M spectra, and the records of every
+    # interior index with their matrix index. Each spectrum passes the gap
+    # guard, as a window's records do: a disconnected matrix would put a
+    # second zero mode into the density.
     spectra = np.array([checked_spectrum(ev) for ev in _sample_ensemble(config)[0]])
-    cols = _index_columns(config, spectra[:1], _ensemble_density(spectra),
-                          *_pool_gap_records(spectra[:1], 0.0, np.inf))
-    return spectra[:1], cols
+    return (spectra[:1], _ensemble_density(spectra),
+            *_pool_gap_records(spectra[:1], 0.0, np.inf))
 
 
 def _run_hhat_vs_h(config):
-    _, cols = _first_matrix_columns(config)
+    cols = _index_columns(config, *_first_matrix(config))
     hx, hh, hh0 = cols["h_exact"], cols["h_hat"], cols["h_hat_uncorrected"]
     log_corr = float(np.corrcoef(np.log(hx), np.log(hh))[0, 1])
     lower = hx <= np.median(hx)
@@ -345,8 +342,9 @@ def _run_hhat_vs_h(config):
 
 
 def _run_bootstrap_vs_hhat(config):
-    first, cols = _first_matrix_columns(config)
-    (result,) = _bootstrap_columns(config, first, cols)
+    first, *rest = _first_matrix(config)
+    (result,) = boots = _bootstraps(config, first)
+    cols = _index_columns(config, first, *rest, boots)
     ok = ~cols["regime_violation"]
     rel = np.abs(cols["n_mean_error"][ok] / cols["h_hat"][ok] - 1.0)
     return {
@@ -373,8 +371,8 @@ def _run_fh_density(config):
     density = _ensemble_density(spectra)
     rho0 = _density_at(density, "empirical", config.lambda0, config.delta)
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
-    cols = _index_columns(config, spectra, density, *_window_records(config, spectra))
-    _bootstrap_columns(config, spectra, cols)
+    cols = _index_columns(config, spectra, density, *_window_records(config, spectra),
+                          _bootstraps(config, spectra))
     grid = _fh_grid(params)
     return {
         "h_empirical.csv": _table(cols, ["matrix", "index", "lambda", "h_exact", "h_hat"]),
@@ -467,8 +465,9 @@ def validate(config):
     The pilot runs the runners' own window guards on its empirical density
     and gap records. Each guard that fails adds a warning with its message:
     `window_outside_bulk` when the density vanishes at lambda0 or at a window
-    end, `empty_window` when no eigenvalue lies within delta of lambda0. When
-    both pass, `pilot_h_hat` is the median h_hat over the window's records,
+    end, `non_simple_spectrum` when a pilot spectrum has a tie, and
+    `empty_window` when no eigenvalue lies within delta of lambda0. When all
+    pass, `pilot_h_hat` is the median h_hat over the window's records,
     `bound_n` its h/2 bound, and each configured n below that bound adds a
     `regime_violation` warning. `ok` is true when there is no warning.
     """
@@ -482,6 +481,8 @@ def validate(config):
         records, _ = _window_records(config, spectra)
     except RuntimeError as error:
         warnings.append(f"empty_window: {error}")
+    except ValueError as error:  # the spectrum guard of extract_gap_records
+        warnings.append(f"non_simple_spectrum: {error}")
 
     pilot_h = bound_n = None
     if not warnings:

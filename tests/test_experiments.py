@@ -83,11 +83,19 @@ class TestConfig:
     @pytest.mark.parametrize("name, raw", [
         ("n", 1000.7), ("n", (1000, 2500.5)), ("n", float("inf")), ("n", float("nan")),
         ("p", 10.5), ("k", 2.5), ("R", 1.5), ("M", 2.5), ("seed", 0.5), ("threads", 1.5),
-    ], ids=["scalar", "in-list", "inf", "nan", "p", "k", "R", "M", "seed", "threads"])
+        ("seed", True), ("M", True), ("threads", True), ("R", np.bool_(True)), ("n", (True,)),
+    ], ids=["scalar", "in-list", "inf", "nan", "p", "k", "R", "M", "seed", "threads",
+            "seed-bool", "M-bool", "threads-bool", "R-numpy-bool", "n-bool"])
     def test_non_integral_n_rejected(self, name, raw):
-        # never truncated: n=1000.7 must not run as n=1000, nor p=10.5 as 10
+        # never truncated: n=1000.7 must not run as n=1000, nor p=10.5 as 10;
+        # and a bool is no count: seed=True must not run as seed 1
         with pytest.raises(ConfigError, match=f"^{name} must be integral"):
             ExperimentConfig(**{"p": 10, "k": 2, name: raw})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+            ExperimentConfig(p=10, k=2, seed=-1)
+        assert ExperimentConfig(p=10, k=2, seed=0).seed == 0
 
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown experiment"):
@@ -391,6 +399,18 @@ class TestValidate:
         assert report["ok"] and "record_rates_per_unit_delta" not in report
         assert len(calls) == cfg.M
 
+    def test_non_simple_pilot_spectrum_warning(self, capsys):
+        # At seed 149 the second of three 3-regular graphs on 10 vertices is
+        # disconnected: its tied zero modes are a warning, not exit 2.
+        code = main(["validate", "--p", "10", "--k", "3", "--M", "3", "--n", "1e3",
+                     "--lambda0", "3", "--seed", "149"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["warnings"]) == 1
+        assert report["warnings"][0].startswith(
+            "non_simple_spectrum: tied eigenvalues: lambda_1 and lambda_2 are ")
+        assert report["pilot_h_hat"] is None and report["ok"] is False
+
 
 class TestCli:
     def test_run_density_exit_zero(self, tmp_path, capsys):
@@ -431,6 +451,16 @@ class TestCli:
             assert code == 1
             assert f"{name} must be integral" in capsys.readouterr().err
             assert not (tmp_path / "density.csv").exists()
+
+    def test_negative_seed_exit_one(self, tmp_path, capsys):
+        # refused as a config error, before the output directory is made
+        for experiment in ("tail", "spacing"):
+            out = tmp_path / experiment
+            code = main(["run", experiment, "--p", "60", "--k", "4", "--lambda0", "4",
+                         "--seed", "-1", "--out", str(out)])
+            assert code == 1
+            assert "config error: seed must be >= 0" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_single_n_experiments_refuse_an_n_list(self, tmp_path, capsys):
         # Each of these reads one n; a list would silently drop all but the
@@ -545,6 +575,26 @@ class TestCli:
         assert manifest["config"]["p"] == 20
         assert manifest["config"]["k"] == 2
         assert (tmp_path / "envout" / "density.csv").exists()
+
+    def test_help_names_every_env_variable(self, capsys):
+        for command in ("run", "validate"):
+            assert main([command, "--help"]) == 0
+            text = capsys.readouterr().out
+            for name in ("P", "K", "N", "R", "M", "LAMBDA0", "DELTA", "SEED", "OUT", "THREADS"):
+                assert f"EIGERR_{name}," in text
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("P", "abc", "error: argument --p: invalid _count value: 'abc'"),
+        ("N", ",", "error: argument --n: invalid _parse_n value: ','"),
+        ("SEED", "-1", "config error: seed must be >= 0"),
+    ], ids=["p", "n", "seed"])
+    def test_bad_env_value_exit_one(self, tmp_path, capsys, monkeypatch, name, value, message):
+        # an EIGERR_* value is parsed as its flag would be, before any file
+        monkeypatch.setenv(f"EIGERR_{name}", value)
+        out = tmp_path / "out"
+        assert main(["run", "density", "--k", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
 
     def test_validate_subcommand(self, capsys):
         code = main(["validate", "--p", "60", "--k", "4", "--M", "2",
