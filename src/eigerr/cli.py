@@ -34,6 +34,10 @@ def _parse_n(text):
     return values
 
 
+# Argparse names a type callable by its __name__ in "invalid <name> value: ...".
+_count.__name__, _parse_n.__name__ = "integer", "integer list"
+
+
 _FLAGS = {
     # name, parser, help
     "p": (_count, "matrix size / vertex count"),

@@ -19,6 +19,7 @@ Each checks that spectrum with ``spectral.checked_spectrum``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,8 @@ def h_hat(lam, s_minus, s_plus, p, rho, include_correction=True):
     second bracket gives the nearest-neighbor-only variant
     (include_correction=False). Gaps must be positive (NaN is not), lam must be
     finite, p a positive integer and rho finite and nonnegative (rho = 0 at a
-    bulk edge).
+    bulk edge). A float lam or rho stays a float through the arithmetic; it
+    gives the same bits as the 0-d or full array of its value.
     """
     _checked_int("p", p, 1)  # a negative p would flip the correction term's sign
     sm = np.asarray(s_minus, dtype=float)
@@ -88,11 +90,22 @@ def h_hat(lam, s_minus, s_plus, p, rho, include_correction=True):
     # paid on every block of push_h_samples.
     if not ((sm > 0).all() and (sp > 0).all()):
         raise ValueError("gaps must be positive")
-    lam = np.asarray(lam, dtype=float)
-    if not np.isfinite(lam).all():
+    # A float lam or rho (np.float64 is one) stays a float: the products below
+    # round as their 0-d forms do, without the 0-d array dispatch that every
+    # block of push_h_samples would pay.
+    if isinstance(lam, float):
+        lam_ok = math.isfinite(lam)
+    else:
+        lam = np.asarray(lam, dtype=float)
+        lam_ok = np.isfinite(lam).all()
+    if not lam_ok:
         raise ValueError("lam must be finite")
-    rho_checked = np.asarray(rho)
-    if not (np.isfinite(rho_checked) & (rho_checked >= 0)).all():
+    if isinstance(rho, float):
+        rho_ok = math.isfinite(rho) and rho >= 0
+    else:
+        rho_checked = np.asarray(rho)
+        rho_ok = (np.isfinite(rho_checked) & (rho_checked >= 0)).all()
+    if not rho_ok:
         raise ValueError("rho must be finite and nonnegative")
     out = lam * lam * (1.0 / sm ** 2 + 1.0 / sp ** 2)
     if include_correction:

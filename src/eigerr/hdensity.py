@@ -14,11 +14,12 @@ over the half arc x in [x_eq, x_eq + 12] that take no parameters: their
 Gauss-Legendre panels and nodes are built once at import, each integrand is
 one array expression, both orders are summed by one product with a (nodes, 2)
 weight matrix and checked against each other, and the value is exactly 0 where
-x_eq passes one constant cut. One h, the unit of a density plot or a quantile
-search, takes one pass over the nodes with v and x_eq in floats; arrays of two
-or more are summed in blocks of 64 rows, and each h gets the same value, bit for
-bit, either way. ``tail_report`` verifies the large-h tail
-f_H = O(p^2/h^2) with a tail integral on the same two-order rule.
+x_eq passes one constant cut. A float h, the unit of a density plot or a
+quantile search, takes one pass over the nodes with v and x_eq in floats and
+stays a float to the return value; every array, a 0-d or size-1 one too, is
+summed in blocks of 64 rows, and each h gets the same value, bit for bit,
+either way. ``tail_report`` verifies the large-h tail f_H = O(p^2/h^2) with a
+tail integral on the same two-order rule.
 ``sample_joint_gaps`` draws the joint gap surmise exactly, as the spacings of
 three GOE levels, and serves as an independent Monte-Carlo oracle. It draws its
 gammas whole and then its uniforms, in that stream order, and transforms them
@@ -131,7 +132,7 @@ def ds_star_dh(h, s_plus, params):
 # Every fixed Gauss-Legendre rule sums at both orders; the sums must agree to _RULE_RTOL.
 _RULES = [np.polynomial.legendre.leggauss(n) for n in (64, 40)]
 _RULE_RTOL = 1e-6
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 # f_H_mass panels in log(h / h_typ), h_typ = 4 (lam a)^2; f_H depends on h only
 # through h / (lam a)^2, so one set of edges serves every (lam, a).
 _MASS_EDGES = np.log([1e-3, 1e-1, 1.0, 10.0, 2e4])
@@ -151,10 +152,15 @@ def _panels(edges):
 def _agreed(fine, coarse):
     # The fine sums (arrays or floats), once each agrees with its coarse sum:
     # relative above the underflow scale, where sums lose digits; NaN fails.
-    ok = abs(fine - coarse) <= np.maximum(_RULE_RTOL * abs(fine), _TINY)
-    if not ok.all():
+    # Two floats are compared by the builtins, with no 0-d array in between.
+    if isinstance(fine, float):
+        failed, size = int(not abs(fine - coarse) <= max(_RULE_RTOL * abs(fine), _TINY)), 1
+    else:
+        ok = abs(fine - coarse) <= np.maximum(_RULE_RTOL * abs(fine), _TINY)
+        failed, size = int((~ok).sum()), ok.size
+    if failed:
         raise RuntimeError(
-            f"quadrature did not converge at {int((~ok).sum())} of {ok.size} points: "
+            f"quadrature did not converge at {failed} of {size} points: "
             f"the two orders differ by more than {_RULE_RTOL:g} or the sum is not finite")
     return fine
 
@@ -197,7 +203,6 @@ def _half_arc_rule(h, params, terms):
     # Sum terms(x_star, x_eq, x) over the half arc at each h, from v = 1/u: x_eq has
     # r = v, x_star <= x_eq. h is raised to the cut _U_CUT (lam a)^2 first, where
     # every term is already 0.0; below it, x_star^4 or x^2 overflow into inf * 0.
-    h = _checked_h(h)
     h_unit = _h_unit(params)
     h_cut = _U_CUT * h_unit
 
@@ -206,20 +211,22 @@ def _half_arc_rule(h, params, terms):
         x = x_eq + _ARC_NODES
         return terms(_root(0.5 * v / _unit_residual(v, x)), x_eq, x)
 
-    if h.size == 1:
-        # One point takes one pass over the nodes: v and x_eq in floats, x_eq by
-        # _root's formula with math.sqrt, which rounds as np.sqrt does, so the
-        # value equals the same h's row in a block, bit for bit.
-        v = h_unit / max(h.item(), h_cut)
-        fine = _agreed(*(on_arc(v, v + math.sqrt(v) * math.sqrt(v + 2.0)) @ _ARC_W).tolist())
-        return fine if h.ndim == 0 else np.full(h.shape, fine)
+    if isinstance(h, float):
+        # A float h (np.float64 is one) takes one pass over the nodes and stays a
+        # float: v and x_eq in floats, x_eq by _root's formula with math.sqrt, which
+        # rounds as np.sqrt does, so the value equals the same h's row in a block,
+        # bit for bit. The chained test is False for NaN too.
+        if not 0 < h < math.inf:
+            raise ValueError("h must be finite and positive")
+        v = h_unit / max(h, h_cut)
+        return _agreed(*(on_arc(v, v + math.sqrt(v) * math.sqrt(v + 2.0)) @ _ARC_W).tolist())
 
     def rule(h_col):
         v = h_unit / np.maximum(h_col, h_cut)
         # One product per row, so that a row's sums do not depend on the block.
         return _agreed(*(on_arc(v, _root(v))[:, None, :] @ _ARC_W)[:, 0].T)
 
-    return _over_h(h, rule)
+    return _over_h(_checked_h(h), rule)
 
 
 def f_H(h, params):

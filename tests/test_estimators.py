@@ -100,15 +100,34 @@ class TestHHat:
         for sm, sp in [(nan, 0.1), (0.1, nan), (np.array([0.1, nan]), 0.1)]:
             with pytest.raises(ValueError, match="gaps must be positive"):
                 h_hat(20.0, sm, sp, 1000, 0.09)
-        for lam in (nan, inf, np.array([20.0, -inf])):
+        # Floats (np.float64 too) and arrays, 0-d or not, take separate checks.
+        for lam in (nan, inf, -inf, np.float64(nan), np.array(inf), np.array([20.0, -inf])):
             with pytest.raises(ValueError, match="lam must be finite"):
                 h_hat(lam, 0.1, 0.1, 1000, 0.09)
-        for rho in (nan, inf, -0.01):
+        for rho in (nan, inf, -0.01, -1.0, np.float64(nan), np.array(-1.0),
+                    np.array([0.09, nan])):
             with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
                 h_hat(20.0, 0.1, 0.1, 1000, rho)
         # rho = 0 at a bulk edge stays legal: the nearest-neighbour terms only.
         assert h_hat(20.0, 0.1, 0.2, 1000, 0.0) == h_hat(20.0, 0.1, 0.2, 1000, 0.09,
                                                          include_correction=False)
+
+    @pytest.mark.parametrize("size", [1, 8192])
+    @pytest.mark.parametrize("correction", [True, False])
+    def test_float_lam_equals_array_lam(self, rng, size, correction):
+        # A float lam or rho is multiplied as a float, an array one as an array:
+        # the same IEEE products in the same order, so the values agree bitwise.
+        sm, sp = rng.uniform(1e-3, 2.0, size=(2, size))
+        lam, rho = 17.3, 0.0693740313
+        expected = h_hat(np.full(size, lam), sm, sp, 1000, np.array(rho),
+                         include_correction=correction)
+        for lam_form in (float, np.float64, np.array):
+            for rho_form in (float, np.array):
+                np.testing.assert_array_equal(
+                    h_hat(lam_form(lam), sm, sp, 1000, rho_form(rho),
+                          include_correction=correction), expected, strict=True)
+        scalar = h_hat(lam, sm[0], sp[0], 1000, rho, include_correction=correction)
+        assert type(scalar) is float and scalar == expected[0]
 
     @pytest.mark.parametrize("p", [-1000, 0, 1000.5, True])
     def test_p_must_be_a_positive_integer(self, p):

@@ -584,8 +584,8 @@ class TestCli:
                 assert f"EIGERR_{name}," in text
 
     @pytest.mark.parametrize("name, value, message", [
-        ("P", "abc", "error: argument --p: invalid _count value: 'abc'"),
-        ("N", ",", "error: argument --n: invalid _parse_n value: ','"),
+        ("P", "abc", "error: argument --p: invalid integer value: 'abc'"),
+        ("N", ",", "error: argument --n: invalid integer list value: ','"),
         ("SEED", "-1", "config error: seed must be >= 0"),
     ], ids=["p", "n", "seed"])
     def test_bad_env_value_exit_one(self, tmp_path, capsys, monkeypatch, name, value, message):

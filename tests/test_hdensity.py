@@ -450,7 +450,7 @@ class TestHRule:
         # F_H(inf) used to read 0.0, and tail_integral(inf) to warn, then report
         # a quadrature that did not converge; s0(nan) read nan.
         for func in (f_H, F_H, tail_integral, s0):
-            for h in (bad, np.array([bad]), np.array([1.0, bad])):
+            for h in (bad, np.float64(bad), np.array([bad]), np.array([1.0, bad])):
                 with pytest.raises(ValueError, match="^h must be finite and positive$"):
                     func(h, UNIT)
         for func in (s_star, ds_star_dh):
@@ -544,9 +544,10 @@ class TestFixedRule:
            logs=st.lists(st.floats(math.log(0.01), math.log(1000.0)), min_size=2, max_size=12))
     @example(lam=LAM20.lam, p=LAM20.p, rho=LAM20.rho, logs=[math.log(0.01), math.log(1000.0)])
     def test_array_equals_scalar(self, lam, p, rho, logs):
-        # A scalar or a size-1 h is summed in floats, more points in blocks of
-        # 64 rows: all three must agree bitwise, from h_typ / 100 to 1000 h_typ,
-        # on the tail window, past one block, and one ulp either side of the cut.
+        # A float h (np.float64 too) is summed in floats, every array, a 0-d or
+        # size-1 one too, in blocks of 64 rows: all must agree bitwise, from
+        # h_typ / 100 to 1000 h_typ, on the tail window, past one block, and one
+        # ulp either side of the cut.
         params = HDensityParams(lam=lam, p=p, rho=rho)
         h_unit = (lam * params.a) ** 2
         cut = hdensity._U_CUT * h_unit
@@ -554,7 +555,10 @@ class TestFixedRule:
                                [np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)]])
         for func in (f_H, F_H):
             scalars = [func(h, params) for h in grid.tolist()]
-            assert all(type(v) is float for v in scalars)
+            for h_scalar in (np.float64, np.array):
+                values = [func(h_scalar(h), params) for h in grid.tolist()]
+                assert all(type(v) is float for v in scalars + values)
+                np.testing.assert_array_equal(values, scalars, strict=True)
             for shape in ((1,), (1, 1)):
                 np.testing.assert_array_equal(
                     [func(np.full(shape, h), params) for h in grid],
@@ -576,6 +580,10 @@ class TestFixedRule:
         for func in (f_H, F_H, tail_integral):
             with pytest.raises(ValueError, match="positive"):
                 func(np.array([1.0, bad, 2.0]), UNIT)
+        # The float path keeps the array path's message.
+        for func in (f_H, F_H):
+            with pytest.raises(ValueError, match="^h must be finite and positive$"):
+                func(bad, UNIT)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params", [UNIT, LAM20], ids=["unit", "lam20"])
