@@ -49,7 +49,8 @@ _FLAGS = {
     "delta": (float, "window half-width"),
     "seed": (_count, "master RNG seed"),
     "out": (str, "output directory"),
-    "threads": (_count, "worker threads, one matrix per task (replicates run serially)"),
+    "threads": (_count, "worker threads, one matrix (or one n of bound-scatter) per task; "
+                         "replicates run serially"),
 }
 
 

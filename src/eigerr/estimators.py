@@ -162,10 +162,11 @@ def bootstrap_error(eigenvalues, R, n, seed=0):
 
     ``eigenvalues`` is the ascending spectrum of the population matrix C.
     Draws R scaled Wishart replicates at sample size n around C in its
-    eigenbasis (``child_seed(seed, r)`` for replicate r, so each replicate is
-    reproducible in isolation; ``seed`` may itself be a child seed), pairs
-    sample eigenvectors with population ones in sorted-index order, and keeps
-    each replicate's sign-aligned residuals; see ``replicate_residuals``.
+    eigenbasis. ``seed`` is an int or a ``SeedSequence`` (such as a child
+    seed), and replicate r draws from ``child_seed(seed, r)``, so each
+    replicate is reproducible in isolation. It pairs sample eigenvectors with
+    population ones in sorted-index order, and keeps each replicate's
+    sign-aligned residuals; see ``replicate_residuals``.
     R and n are integers (a bool is not one), with R >= 1 and n >= p.
     """
     ev = checked_spectrum(eigenvalues)

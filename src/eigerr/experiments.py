@@ -2,9 +2,12 @@
 
 Each experiment is a deterministic function of (config, seed) that returns
 its analysis-ready CSV/JSON outputs; `run` alone serializes them, writes them
-and records their content hashes in a manifest. Child RNG seeds come from the
-master seed by counter-based keys per (matrix, replicate), so results do not
-depend on execution order or pool width, though BLAS threads can move them.
+and records their content hashes in a manifest. Every seeded unit of a run
+draws from ``child_seed(seed, stream, i)``, and replicate r within it from
+``child_seed(seed, stream, i, r)``. The stream keys are 0 for the i-th graph
+of an ensemble, 1 for the bootstrap of the i-th matrix and 2 for
+`bound-scatter`'s bootstrap at its i-th n. So results do not depend on
+execution order or pool width, though BLAS threads can move them.
 """
 
 from __future__ import annotations
@@ -121,12 +124,18 @@ class ExperimentConfig:
         return d
 
 
-def _map_indexed(fn, count, threads):
-    # Deterministic parallel map: results land in index order.
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+def _fan_out(config, stream, count, fn):
+    # The one place where a run's units get their seeds and a pool:
+    # [fn(i, child_seed(config.seed, stream, i)) for i in range(count)], in
+    # index order. Stream keys: 0 a graph, 1 a matrix's bootstrap, 2
+    # bound-scatter's bootstrap at its i-th n. Width 1 stays on the calling
+    # thread: a one-worker pool raised the bootstrap workload's peak RSS by
+    # 12-33 MB, likely as a worker thread allocates from its own malloc arena.
+    seeds = [child_seed(config.seed, stream, i) for i in range(count)]
+    if config.threads == 1:
+        return list(map(fn, range(count), seeds))
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        return list(pool.map(fn, range(count), seeds))
 
 
 def _sample_ensemble(config, count=None):
@@ -135,11 +144,11 @@ def _sample_ensemble(config, count=None):
     # done: every runner needs only eigenvalues.
     count = config.M if count is None else count
 
-    def build(m):
-        g = sample_regular_graph(config.p, config.k, child_seed(config.seed, 0, m))
+    def build(_, seed):
+        g = sample_regular_graph(config.p, config.k, seed)
         return laplacian(g).eigenvalues, is_connected(g)
 
-    spectra, connected = zip(*_map_indexed(build, count, config.threads))
+    spectra, connected = zip(*_fan_out(config, 0, count, build))
     return np.array(spectra), connected
 
 
@@ -187,11 +196,10 @@ HDENSITY_COLUMNS = ["h", "f_H", "F_H"]
 def _bootstraps(config, spectra):
     # One BootstrapResult per matrix (row of spectra), each from the matrix's
     # own child seed, so neither the pool width nor the order moves a value.
-    def boot(m):
-        seed = int(child_seed(config.seed, 1, m).generate_state(1)[0])
+    def boot(m, seed):
         return bootstrap_error(spectra[m], config.R, config.n[0], seed=seed)
 
-    return _map_indexed(boot, len(spectra), config.threads)
+    return _fan_out(config, 1, len(spectra), boot)
 
 
 def _index_columns(config, spectra, density, records, matrix, boots=()):
@@ -404,10 +412,11 @@ def _run_bound_scatter(config):
     ev = spectra[0]
     hx = h_exact_all(ev)
     index = np.arange(1, ev.size + 1)
+    boots = _fan_out(config, 2, len(config.n),
+                     lambda ni, seed: bootstrap_error(ev, config.R, config.n[ni], seed=seed))
     blocks = []  # the columns of each (n, replicate) pair, in file order
-    for ni, n in enumerate(config.n):
+    for n, boot in zip(config.n, boots):
         violation = regime_violation(n, hx)
-        boot = bootstrap_error(ev, config.R, n, seed=child_seed(config.seed, 2, ni))
         for r, res in enumerate(boot.residuals):
             blocks.append(zip(repeat(n), repeat(r), index, ev, hx, res, n * res, violation))
     return {"bound_scatter.csv": (["n", "replicate", "index", "lambda", "h_exact",

@@ -184,14 +184,16 @@ class TestRunners:
             data.append({name: (out / name).read_bytes() for name in ("tail.json", "fh_tail.csv")})
         assert data[0] == data[1]
 
-    @pytest.mark.parametrize("experiment", ["hhat-vs-h", "bootstrap-vs-hhat", "fh-density"])
+    @pytest.mark.parametrize("experiment", ["hhat-vs-h", "bootstrap-vs-hhat", "fh-density",
+                                            "bound-scatter", "spacing"])
     def test_determinism_across_runs_and_threads(self, tmp_path, experiment):
         # The pool width never moves a byte; bootstrap-vs-hhat and fh-density
-        # also bootstrap their matrices on the pool.
+        # also bootstrap their matrices on the pool, and bound-scatter its n.
+        n = (60, 10 ** 6) if experiment == "bound-scatter" else (1000,)
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        run(experiment, ExperimentConfig(out=out1, n=(1000,), **SMALL))
-        run(experiment, ExperimentConfig(out=out2, n=(1000,), **SMALL))
-        run(experiment, ExperimentConfig(out=out3, n=(1000,), threads=3, **SMALL))
+        run(experiment, ExperimentConfig(out=out1, n=n, **SMALL))
+        run(experiment, ExperimentConfig(out=out2, n=n, **SMALL))
+        run(experiment, ExperimentConfig(out=out3, n=n, threads=3, **SMALL))
         data = sorted(f.name for f in out1.iterdir() if f.name != "manifest.json")
         assert data
         for name in data:
@@ -218,7 +220,7 @@ class TestRunners:
         n, cfg = 10 ** 6, ExperimentConfig(**SMALL)
         spectra = [laplacian(sample_regular_graph(cfg.p, cfg.k, child_seed(cfg.seed, 0, m)))
                    .eigenvalues for m in range(cfg.M)]
-        boots = [bootstrap_error(ev, cfg.R, n, seed=int(child_seed(cfg.seed, 1, m).generate_state(1)[0]))
+        boots = [bootstrap_error(ev, cfg.R, n, seed=child_seed(cfg.seed, 1, m))
                  for m, ev in enumerate(spectra)]
         for experiment in ("fh-density", "bootstrap-vs-hhat"):
             run(experiment, ExperimentConfig(out=tmp_path / experiment, n=(n,), **SMALL))
