@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -67,12 +68,25 @@ def _integral(name, value):
     raise ConfigError(f"{name} must be integral, not {value!r}")
 
 
+def _real(name, value):
+    # A Python float, which the manifest's JSON can hold (np.int64 is not
+    # JSON). A bool is no real number here, nor is a complex, None, a string,
+    # a list or an int beyond the float range.
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be a real number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs shared by all experiments; `n` may carry several sample sizes.
 
-    Valid by construction: counts become ints, and one ``ConfigError`` names
-    every value out of range. Frozen, so it stays valid.
+    Valid by construction: counts become ints, ``lambda0`` and ``delta``
+    floats, and one ``ConfigError`` names every value out of range. Frozen,
+    so it stays valid.
     """
 
     p: int = 100
@@ -94,6 +108,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n", tuple(_integral("n", v) for v in n))
         for name in ("p", "k", "R", "M", "seed", "threads"):
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        for name in ("lambda0", "delta"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         object.__setattr__(self, "out", Path(self.out))
         problems = []
         # k = 1 is a perfect matching, whose spectrum is only 0s and 2s: it has
@@ -157,19 +173,14 @@ def _ensemble_density(spectra):
     return estimate_density(spectra[:, 1:])
 
 
-def _pool_gap_records(spectra, lambda0, delta):
-    # Each matrix's records in turn, and the matrix (row of spectra) of each.
+def _window_records(spectra, lambda0, delta):
+    # Each matrix's records within delta of lambda0 in turn, and the matrix
+    # (row of spectra) of each; a runner needs at least one record.
     records = [extract_gap_records(ev, lambda0, delta) for ev in spectra]
     matrix = np.repeat(np.arange(len(records)), [r.index.size for r in records])
+    if not matrix.size:
+        raise RuntimeError(f"no eigenvalues within delta of lambda0={lambda0}")
     return GapRecords(*map(np.concatenate, zip(*records))), matrix
-
-
-def _window_records(config, spectra):
-    # The pooled records within delta of lambda0; a runner needs at least one.
-    records, matrix = _pool_gap_records(spectra, config.lambda0, config.delta)
-    if not records.index.size:
-        raise RuntimeError(f"no eigenvalues within delta of lambda0={config.lambda0}")
-    return records, matrix
 
 
 def _density_at(density, name, lambda0, delta):
@@ -269,7 +280,7 @@ def _run_density(config):
 def _run_spacing(config):
     rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0, config.delta)
     spectra, _ = _sample_ensemble(config)
-    records, _ = _window_records(config, spectra)
+    records, _ = _window_records(spectra, config.lambda0, config.delta)
     normalized = config.p * records.s_plus
     # KS against the surmise for t = p*s with scale rho(lambda0).
     t_sorted = np.sort(normalized)
@@ -291,7 +302,7 @@ def _run_spacing(config):
 def _run_joint_gaps(config):
     rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0, config.delta)
     spectra, _ = _sample_ensemble(config)
-    records, _ = _window_records(config, spectra)
+    records, _ = _window_records(spectra, config.lambda0, config.delta)
     count = records.index.size
     a = config.p * rho
     hi = 3.5 / a
@@ -311,11 +322,11 @@ def _run_joint_gaps(config):
     }
 
 
-def _joint_cell_masses(edges, p, rho, refine=6):
+def _joint_cell_masses(edges, p, rho):
     # Cell probabilities of J by midpoint refinement inside each cell: the
-    # pdf on an (nb, nb, refine, refine) grid of cell-by-cell midpoints.
+    # pdf on an (nb, nb, 6, 6) grid of cell-by-cell midpoints.
     nb = len(edges) - 1
-    xs = np.linspace(edges[:-1], edges[1:], refine + 1, axis=1)
+    xs = np.linspace(edges[:-1], edges[1:], 7, axis=1)
     mid = 0.5 * (xs[:, :-1] + xs[:, 1:])
     dx = xs[:, 1] - xs[:, 0]
     pdf = joint_gap_pdf(mid[:, None, :, None], mid[None, :, None, :], p, rho)
@@ -325,12 +336,13 @@ def _joint_cell_masses(edges, p, rho, refine=6):
 def _first_matrix(config):
     # The inputs of the first matrix's per-index table: its spectrum as a
     # one-row array, the density of all M spectra, and the records of every
-    # interior index with their matrix index. Each spectrum passes the gap
-    # guard, as a window's records do: a disconnected matrix would put a
-    # second zero mode into the density.
+    # interior index (the window 0 -+ inf, never empty as p > k >= 2) with
+    # their matrix index. Each spectrum passes the gap guard, as a window's
+    # records do: a disconnected matrix would put a second zero mode into
+    # the density.
     spectra = np.array([checked_spectrum(ev) for ev in _sample_ensemble(config)[0]])
     return (spectra[:1], _ensemble_density(spectra),
-            *_pool_gap_records(spectra[:1], 0.0, np.inf))
+            *_window_records(spectra[:1], 0.0, np.inf))
 
 
 def _run_hhat_vs_h(config):
@@ -365,9 +377,9 @@ def _run_bootstrap_vs_hhat(config):
     }
 
 
-def _fh_grid(params, n_points=60):
+def _fh_grid(params):
     h_typ = 4.0 * (params.lam * params.a) ** 2
-    return np.geomspace(h_typ / 100.0, h_typ * 1000.0, n_points)
+    return np.geomspace(h_typ / 100.0, h_typ * 1000.0, 60)
 
 
 def _fh_table(grid, fh, params):
@@ -379,8 +391,8 @@ def _run_fh_density(config):
     density = _ensemble_density(spectra)
     rho0 = _density_at(density, "empirical", config.lambda0, config.delta)
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
-    cols = _index_columns(config, spectra, density, *_window_records(config, spectra),
-                          _bootstraps(config, spectra))
+    window = _window_records(spectra, config.lambda0, config.delta)
+    cols = _index_columns(config, spectra, density, *window, _bootstraps(config, spectra))
     grid = _fh_grid(params)
     return {
         "h_empirical.csv": _table(cols, ["matrix", "index", "lambda", "h_exact", "h_hat"]),
@@ -487,7 +499,7 @@ def validate(config):
     except RuntimeError as error:
         warnings.append(f"window_outside_bulk: {error}")
     try:
-        records, _ = _window_records(config, spectra)
+        records, _ = _window_records(spectra, config.lambda0, config.delta)
     except RuntimeError as error:
         warnings.append(f"empty_window: {error}")
     except ValueError as error:  # the spectrum guard of extract_gap_records

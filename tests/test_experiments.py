@@ -68,6 +68,28 @@ class TestConfig:
             with pytest.raises(ConfigError, match="lambda0 must be finite"):
                 ExperimentConfig(p=10, k=2, n=(100,), lambda0=lambda0)
 
+    @pytest.mark.parametrize("name, raw", [
+        ("lambda0", None), ("delta", "1"), ("lambda0", True), ("delta", np.bool_(True)),
+        ("lambda0", 4 + 0j), ("delta", [1.0]), ("lambda0", 10 ** 400),
+    ], ids=["None", "string", "bool", "numpy-bool", "complex", "list", "huge-int"])
+    def test_non_real_window_rejected(self, name, raw):
+        # lambda0=True must not run as 1.0, nor delta="1" die on a TypeError
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
+            ExperimentConfig(**{"p": 10, "k": 2, name: raw})
+
+    def test_window_stored_as_float(self):
+        cfg = ExperimentConfig(p=10, k=2, lambda0=4, delta=np.float32(1.0))
+        assert type(cfg.lambda0) is float and cfg.lambda0 == 4.0
+        assert type(cfg.delta) is float and cfg.delta == 1.0
+
+    def test_numpy_lambda0_manifest_round_trips(self, tmp_path):
+        # np.int64 is not JSON: the manifest used to fail after every output
+        cfg = ExperimentConfig(p=60, k=4, M=1, n=1000, lambda0=np.int64(4), out=tmp_path)
+        manifest = run("tail", cfg)
+        written = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert written == manifest["config"] == cfg.as_dict()
+        assert type(written["lambda0"]) is float and written["lambda0"] == 4.0
+
     def test_scalar_n_normalized(self):
         cfg = ExperimentConfig(p=10, k=2, n=1000)
         assert cfg.n == (1000,)
