@@ -7,20 +7,25 @@ draws from ``child_seed(seed, stream, i)``, and replicate r within it from
 ``child_seed(seed, stream, i, r)``. The stream keys are 0 for the i-th graph
 of an ensemble, 1 for the bootstrap of the i-th matrix and 2 for
 `bound-scatter`'s bootstrap at its i-th n. So results do not depend on
-execution order or pool width, though BLAS threads can move them.
+execution order or pool width, and `run` and `validate` hold numpy's bundled
+OpenBLAS to one thread, so nor on the host's BLAS thread count.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import io
 import json
 import numbers
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
+from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -141,6 +146,45 @@ class ExperimentConfig:
         d["n"] = list(self.n)
         d["out"] = str(self.out)
         return d
+
+
+@cache
+def _openblas_threads():
+    # (get, set) of numpy's bundled OpenBLAS thread count, or None under
+    # another BLAS build. Looked up on first use, not on import.
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        try:
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_BLAS_PIN = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    # More BLAS threads split LAPACK's sums differently, which moves the last
+    # digits of the eigenvalues, and oversubscribe the cores under a pool.
+    # Pinned calls take turns, so that none restores the count while another
+    # runs. As a decorator it pins each call anew.
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_PIN:
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
 
 
 def _fan_out(config, stream, count, fn):
@@ -451,14 +495,18 @@ EXPERIMENTS = {
 }
 
 
+@_one_blas_thread()
 def run(experiment, config):
     """Run one named experiment; returns the manifest dict.
 
     Writes the experiment's data files plus `manifest.json` (config echo,
     output hashes, wall time) into config.out, and only once every output
     has been computed and serialized: a run that raises writes no file.
-    Deterministic per seed and pool width (`threads`); the BLAS thread count
-    can move the last digits. Only `bound-scatter` reads several n.
+    Deterministic per seed, whatever the pool width (`threads`) or the host's
+    BLAS thread count: numpy's bundled OpenBLAS runs on one thread for the
+    call and gets its previous count back after. The pin covers `run()` and
+    `validate()` only; under another BLAS build they run unpinned. Only
+    `bound-scatter` reads several n.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
@@ -483,6 +531,7 @@ def run(experiment, config):
     return manifest
 
 
+@_one_blas_thread()
 def validate(config):
     """Pre-flight checks on a pilot of min(M, 5) matrices; returns a report dict.
 

@@ -9,7 +9,6 @@ bulk spectral statistics close to the GOE once k is moderately large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,19 +45,12 @@ class RegularGraph:
 class PopulationMatrix:
     """Symmetric PSD matrix with its sorted eigenvalues attached.
 
-    Every predictor needs only the eigenvalues, and the bootstrap samples in
-    the matrix's eigenbasis, so no eigenvectors are computed up front.
-    ``eigenvectors`` solves for them on first access (a second, full solve)
-    and caches them; it serves tests as a reference.
+    Population matrices carry eigenvalues only: every predictor reads the
+    spectrum, and the bootstrap samples in the matrix's eigenbasis.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-
-    @cached_property
-    def eigenvectors(self):
-        """Orthonormal eigenvector columns, in the order of ``eigenvalues``."""
-        return eig_sym(self.matrix)[1]
 
 
 def _pairing_attempt(p, k, rng):

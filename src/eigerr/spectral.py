@@ -125,7 +125,7 @@ def estimate_density(pools, bin_width=None):
     if not 0 < bin_width < np.inf:  # False for NaN too
         raise ValueError("bin width must be positive and finite")
 
-    if hi - lo < bin_width:
+    if hi - lo <= bin_width:  # one bin: its lone centre would integrate to 0
         # Degenerate pool: a flat table of mass 1 over one bin width around the data.
         centers = 0.5 * (lo + hi) + bin_width * np.array([-0.5, 0.5])
         weights = np.full(2, 1.0 / bin_width)

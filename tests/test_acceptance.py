@@ -191,6 +191,7 @@ def test_criterion_7_validity_bound():
     c = eg.laplacian(eg.sample_regular_graph(200, 5, seed=99))
     hx = eg.h_exact_all(c.eigenvalues)
     root = eg.sqrt_psd(c.matrix)
+    u = eig_sym(c.matrix)[1]
 
     over_cap = 0
     saturated = 0
@@ -199,7 +200,7 @@ def test_criterion_7_validity_bound():
         for r in range(100):
             draw = sample_wishart_scaled(root, n, child_seed(9900, ni, r))
             _, v_tilde = eig_sym(draw)
-            dots = np.abs(np.einsum("ij,ij->j", c.eigenvectors, v_tilde))
+            dots = np.abs(np.einsum("ij,ij->j", u, v_tilde))
             res = np.clip(2.0 * (1.0 - dots), 0.0, 2.0)
             over_cap += int((res > 2.0).sum())
             hi = hx > 10.0 * 2.0 * n

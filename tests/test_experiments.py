@@ -1,11 +1,17 @@
 """Experiment runner and CLI: schemas, determinism, env overrides, exit codes."""
 
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +36,7 @@ from eigerr.experiments import (
 from oracles import h_exact
 
 SMALL = dict(p=60, k=4, M=3, R=2, lambda0=4.0, delta=1.0, seed=5)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_csv(path):
@@ -55,6 +62,14 @@ class TestConfig:
             with pytest.raises(ConfigError, match="need p > k >= 2"):
                 ExperimentConfig(p=20, k=k, n=(1000,))
         ExperimentConfig(p=20, k=2, n=(1000,))
+
+    @pytest.mark.parametrize("name, message", [
+        ("R", "R and M must be >= 1"), ("M", "R and M must be >= 1"),
+        ("threads", "threads must be >= 1"),
+    ])
+    def test_count_below_one_rejected(self, name, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentConfig(**{"p": 10, "k": 2, name: 0})
 
     def test_n_below_p(self):
         with pytest.raises(ConfigError, match="n >= p"):
@@ -350,6 +365,102 @@ WRITER_CASES = {
         '{\n  "plateau_spread": 0.25,\n  "slope": -2.0,\n'
         '  "window": [\n    1.0,\n    100.0\n  ]\n}\n'),
 }
+
+
+def _openblas():
+    # (get, set) of numpy's bundled OpenBLAS thread count, found apart from
+    # the runner's own lookup
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+
+
+class TestBlasPin:
+    """run() and validate() hold BLAS to one thread for the call, so no byte
+    depends on the host's BLAS thread count."""
+
+    def test_files_equal_at_one_and_two_blas_threads(self, tmp_path):
+        # At p=1000 a second BLAS thread moved the last digits of all four
+        # data files. Each run is a fresh process started at its count.
+        env = {k: v for k, v in os.environ.items() if not k.startswith("EIGERR_")}
+        data = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "eigerr.cli", "run", "fh-density", "--p", "1000",
+                 "--k", "20", "--M", "2", "--R", "1", "--n", "1e8", "--seed", "3",
+                 "--out", str(out)],
+                env={**env, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)},
+                capture_output=True, timeout=300, check=True)
+            data.append({f.name: f.read_bytes() for f in out.iterdir()
+                         if f.name != "manifest.json"})
+        assert len(data[0]) == 4
+        assert data[0] == data[1]
+
+    @staticmethod
+    def _counts(monkeypatch, call):
+        # BLAS threads seen inside the call, which starts at 2, and after it
+        get, put = _openblas()
+        seen = []
+        sample = experiments._sample_ensemble
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_sample_ensemble", recording)
+        before = get()
+        put(2)
+        try:
+            call()
+            return seen, get()
+        finally:
+            put(before)
+
+    @pytest.mark.parametrize("entry", ["run", "validate"])
+    def test_pinned_for_the_call_and_restored(self, tmp_path, monkeypatch, entry):
+        cfg = ExperimentConfig(out=tmp_path, **SMALL)
+        call = (lambda: run("density", cfg)) if entry == "run" else (lambda: validate(cfg))
+        assert self._counts(monkeypatch, call) == ([1], 2)
+
+    def test_other_blas_runs_unpinned(self, tmp_path, monkeypatch):
+        # Without the OpenBLAS symbols the run goes on at the host's count.
+        monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+        cfg = ExperimentConfig(out=tmp_path, **SMALL)
+        assert self._counts(monkeypatch, lambda: run("density", cfg)) == ([2], 2)
+        assert (tmp_path / "density.csv").is_file()
+
+    def test_concurrent_calls_take_turns(self, tmp_path, monkeypatch):
+        # Runs at once must not restore the count under each other: each
+        # reads one thread throughout, and the count before is back after.
+        get, put = _openblas()
+        seen = []
+
+        def slow(config):
+            seen.append(get())
+            time.sleep(0.05)
+            seen.append(get())
+            return {}
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "density", slow)
+        before = get()
+        put(2)
+        try:
+            for _ in range(3):
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    for done in [pool.submit(run, "density", ExperimentConfig(
+                            out=tmp_path / str(i), **SMALL)) for i in range(4)]:
+                        done.result(timeout=60)
+            after = get()
+        finally:
+            put(before)
+        assert seen == [1] * 24
+        assert after == 2
 
 
 class TestWriters:

@@ -164,6 +164,22 @@ class TestEstimateDensity:
         assert d(0.0) == pytest.approx(2.0)  # 1/bin_width
         assert d(1.0) == 0.0
 
+    @pytest.mark.parametrize("pool", [[0.0, 1.0], [0.0, 0.5, 1.0]])
+    def test_span_of_one_bin_width(self, pool):
+        # hi - lo == bin_width makes one bin, whose lone centre has zero
+        # trapezoid mass: the pool takes the flat one-bin table instead
+        d = estimate_density([np.array(pool)], bin_width=1.0)
+        np.testing.assert_array_equal(d.grid, [0.0, 1.0])
+        np.testing.assert_array_equal(d.weights, [1.0, 1.0])
+        assert np.trapezoid(d.weights, d.grid) == 1.0
+
+    def test_zero_iqr_bin_width_fallback(self):
+        # Freedman-Diaconis gives 0 here (IQR 0): the width becomes the range
+        # over max(10, sqrt(size)) bins, and the mass is still 1
+        d = estimate_density([np.array([0.0] * 40 + [1.0, 3.0])])
+        assert d.bandwidth == pytest.approx(0.3)
+        assert np.trapezoid(d.weights, d.grid) == pytest.approx(1.0)
+
     def test_averaging_idempotence(self):
         ev = np.linspace(0.0, 5.0, 60)
         one = estimate_density([ev], bin_width=0.5)
