@@ -104,7 +104,7 @@ class ExperimentConfig:
     delta: float = 1.0
     seed: int = 0
     out: Path = field(default_factory=lambda: Path("out"))
-    threads: int = 1
+    threads: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def __post_init__(self):
         # A string is iterable too: "100" would become n=(1, 0, 0).
@@ -235,9 +235,10 @@ def _density_at(density, name, lambda0, delta):
 
     Otherwise raises ``RuntimeError`` naming the first of these points where
     rho vanishes. For a density whose support is one interval, such as
-    McKay's law or the ensemble histogram of one bulk, that is rho > 0 on the
-    whole window [lambda0 - delta, lambda0 + delta]. A runner that reads no
-    window passes delta = 0.
+    McKay's law or the ensemble histogram of one bulk (its support is
+    [min lambda, max lambda] of its pool), that is rho > 0 on the whole window
+    [lambda0 - delta, lambda0 + delta]. A runner that reads no window passes
+    delta = 0.
     """
     for label, at in (("lambda0", lambda0), ("lambda", lambda0 - delta), ("lambda", lambda0 + delta)):
         if not density(at) > 0:
@@ -314,12 +315,13 @@ def _table(cols, names):
 def _run_density(config):
     spectra, connected = _sample_ensemble(config)
     density = _ensemble_density(spectra)
-    grid = density.grid
+    edges = density.edges
+    grid = 0.5 * (edges[:-1] + edges[1:])
     mckay = SpectralDensity.mckay(config.k)
     return {
         "density.csv": (["lambda", "rho_empirical", "rho_mckay"],
                         zip(grid.tolist(), density(grid).tolist(), mckay(grid).tolist())),
-        "stats.json": {"matrices": config.M, "bin_width": density.bandwidth,
+        "stats.json": {"matrices": config.M, "bin_width": float(edges[1] - edges[0]),
                        "disconnected": int(sum(not c for c in connected))},
     }
 

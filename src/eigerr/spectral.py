@@ -3,7 +3,7 @@ and the GOE spacing surmises.
 
 A bulk density rho is a function of lambda: McKay's law for the k-regular
 Laplacian spectrum (``SpectralDensity.mckay(k)``), or the ensemble-averaged
-histogram of ``estimate_density``, interpolated linearly between bin centers.
+histogram of ``estimate_density``, whose equal bins tile the pooled range.
 """
 
 from __future__ import annotations
@@ -81,14 +81,13 @@ def mckay_density(lam, k):
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Empirical bulk density: linear interpolation through (grid, weights), 0 outside.
+    """Empirical bulk density: a histogram, weights[j] on [edges[j], edges[j+1]).
 
-    grid holds the bin centers, weights the density there, bandwidth the bin width.
+    The last bin is closed, and rho is 0 outside [edges[0], edges[-1]].
     """
 
-    grid: np.ndarray
+    edges: np.ndarray
     weights: np.ndarray
-    bandwidth: float
 
     @staticmethod
     def mckay(k):
@@ -96,17 +95,22 @@ class SpectralDensity:
         return lambda lam: mckay_density(np.subtract(lam, k), k)
 
     def __call__(self, lam):
-        return _scalar_if_0d(np.interp(lam, self.grid, self.weights, left=0.0, right=0.0))
+        lam = np.asarray(lam, dtype=float)
+        edges = self.edges
+        # bin j holds edges[j] <= lam < edges[j+1]; the clip closes the last bin
+        j = np.clip(np.searchsorted(edges, lam, side="right") - 1, 0, edges.size - 2)
+        outside = (lam < edges[0]) | (lam > edges[-1])  # False for NaN, which stays NaN
+        return _scalar_if_0d(np.where(outside, 0.0, np.where(np.isnan(lam), lam, self.weights[j])))
 
 
 def estimate_density(pools, bin_width=None):
     """Ensemble-averaged spectral density from per-matrix eigenvalue pools.
 
-    Each pool contributes a normalized histogram on a shared grid; the
-    per-matrix histograms are averaged and the piecewise-linear interpolant
-    through the bin centers is rescaled so it integrates to exactly 1.
-    Default bin width follows the Freedman-Diaconis rule on the pooled
-    sample. A NaN or infinite eigenvalue raises ``ValueError``.
+    The mean of the pools' histograms on shared equal bins, each no wider
+    than ``bin_width``, that end exactly at the pooled minimum and maximum.
+    Each histogram has mass 1, so the mean has too. Default bin width follows
+    the Freedman-Diaconis rule on the pooled sample. A NaN or infinite
+    eigenvalue, or a pool of one value, raises ``ValueError``.
     """
     pools = [np.asarray(pool, dtype=float).ravel() for pool in pools]
     pools = [pool for pool in pools if pool.size]
@@ -117,30 +121,18 @@ def estimate_density(pools, bin_width=None):
     lo, hi = pooled.min(), pooled.max()  # both propagate NaN
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("eigenvalues must be finite")
+    if hi == lo:
+        raise ValueError("eigenvalues must span an interval")
     if bin_width is None:
         q75, q25 = np.percentile(pooled, [75.0, 25.0])
-        bin_width = 2.0 * (q75 - q25) / pooled.size ** (1.0 / 3.0)
-        if bin_width <= 0:
-            bin_width = (hi - lo) / max(10, int(np.sqrt(pooled.size))) or 1.0
+        bin_width = (2.0 * (q75 - q25) / pooled.size ** (1.0 / 3.0)
+                     or (hi - lo) / max(10, int(np.sqrt(pooled.size))))
     if not 0 < bin_width < np.inf:  # False for NaN too
         raise ValueError("bin width must be positive and finite")
 
-    if hi - lo <= bin_width:  # one bin: its lone centre would integrate to 0
-        # Degenerate pool: a flat table of mass 1 over one bin width around the data.
-        centers = 0.5 * (lo + hi) + bin_width * np.array([-0.5, 0.5])
-        weights = np.full(2, 1.0 / bin_width)
-    else:
-        nbins = int(np.ceil((hi - lo) / bin_width))
-        edges = lo + bin_width * np.arange(nbins + 1)
-        edges[-1] = max(edges[-1], hi)  # guard against float shortfall
-        hists = [np.histogram(pool, bins=edges, density=True)[0] for pool in pools]
-        weights = np.mean(hists, axis=0)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        total = np.trapezoid(weights, centers)
-        if total <= 0:
-            raise ValueError("degenerate histogram: zero total mass")
-        weights = weights / total
-    return SpectralDensity(grid=centers, weights=weights, bandwidth=float(bin_width))
+    edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / bin_width)) + 1)
+    weights = np.mean([np.histogram(pool, bins=edges, density=True)[0] for pool in pools], axis=0)
+    return SpectralDensity(edges=edges, weights=weights)
 
 
 class GapRecords(NamedTuple):

@@ -56,6 +56,12 @@ class TestConfig:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, name, value)
 
+    def test_threads_default_to_the_core_count(self, monkeypatch):
+        # No byte depends on the pool width, so a default run uses every core.
+        assert ExperimentConfig().threads == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # a count it cannot tell
+        assert ExperimentConfig().threads == 1
+
     def test_k_below_two(self):
         # A 1-regular graph has only the eigenvalues 0 and 2: every runner fails.
         for k in (1, 0, -2):
@@ -227,6 +233,16 @@ class TestRunners:
             data.append({name: (out / name).read_bytes() for name in ("tail.json", "fh_tail.csv")})
         assert data[0] == data[1]
 
+    def test_every_scored_index_reads_a_positive_density(self):
+        # At the README reference config, hhat-vs-h and bootstrap-vs-hhat score
+        # the first matrix's 198 interior indices: each lies inside the pooled
+        # range, so none reads rho = 0 and loses h_hat's correction term.
+        cfg = ExperimentConfig(p=200, k=20, M=3, R=3, n=(10 ** 8,), lambda0=20.0,
+                               delta=2.0, seed=11)
+        _, density, records, _ = experiments._first_matrix(cfg)
+        assert records.index.size == 198
+        assert (density(records.lam) > 0).all()
+
     @pytest.mark.parametrize("experiment", ["hhat-vs-h", "bootstrap-vs-hhat", "fh-density",
                                             "bound-scatter", "spacing"])
     def test_determinism_across_runs_and_threads(self, tmp_path, experiment):
@@ -234,8 +250,8 @@ class TestRunners:
         # also bootstrap their matrices on the pool, and bound-scatter its n.
         n = (60, 10 ** 6) if experiment == "bound-scatter" else (1000,)
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        run(experiment, ExperimentConfig(out=out1, n=n, **SMALL))
-        run(experiment, ExperimentConfig(out=out2, n=n, **SMALL))
+        run(experiment, ExperimentConfig(out=out1, n=n, threads=1, **SMALL))
+        run(experiment, ExperimentConfig(out=out2, n=n, threads=1, **SMALL))
         run(experiment, ExperimentConfig(out=out3, n=n, threads=3, **SMALL))
         data = sorted(f.name for f in out1.iterdir() if f.name != "manifest.json")
         assert data
@@ -641,13 +657,13 @@ class TestCli:
             ("fh-density", "4", "1e-9", "no eigenvalues within delta of lambda0=4.0"),
             # lambda0 inside the bulk, one window end past it: McKay's edges are
             # 4 -+ 2 sqrt(3), and the empirical density of these two matrices is
-            # positive on about (1.4, 6.9) only
+            # positive on the range of their eigenvalues, about [0.68, 7.37]
             ("spacing", "7", "1", "McKay density vanishes at lambda=8.0;"),
             ("joint-gaps", "7", "1", "McKay density vanishes at lambda=8.0;"),
             ("spacing", "1", "1", "McKay density vanishes at lambda=0.0;"),
             ("joint-gaps", "1", "1", "McKay density vanishes at lambda=0.0;"),
-            ("fh-density", "6", "1", "empirical density vanishes at lambda=7.0;"),
-            ("fh-density", "2", "1", "empirical density vanishes at lambda=1.0;"),
+            ("fh-density", "7", "1", "empirical density vanishes at lambda=8.0;"),
+            ("fh-density", "1", "1", "empirical density vanishes at lambda=0.0;"),
         ]
         for i, (experiment, lambda0, delta, message) in enumerate(cases):
             code = main(["run", experiment, "--p", "60", "--k", "4", "--M", "2",
@@ -659,6 +675,19 @@ class TestCli:
             assert record["message"].startswith(message)
             assert record["experiment"] == experiment
             assert not any((tmp_path / str(i)).iterdir())
+
+    def test_window_inside_the_pooled_range_runs(self, tmp_path, capsys):
+        # The window 6 -+ 1 ends inside [0.68, 7.37], the range of these two
+        # matrices' eigenvalues, where their histogram density is positive:
+        # fh-density runs and validate finds the window inside the bulk.
+        flags = ["--p", "60", "--k", "4", "--M", "2", "--R", "1", "--n", "1e3",
+                 "--lambda0", "6", "--delta", "1", "--seed", "5"]
+        assert main(["run", "fh-density", *flags, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["validate", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pilot_h_hat"] is not None
+        assert not any(w.startswith("window_outside_bulk") for w in report["warnings"])
 
     @pytest.mark.parametrize("experiment", ["hhat-vs-h", "bootstrap-vs-hhat", "bound-scatter"])
     def test_failed_run_writes_nothing(self, tmp_path, capsys, experiment):

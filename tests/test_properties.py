@@ -9,6 +9,7 @@ from eigerr import (
     HDensityParams,
     SpectralDensity,
     bootstrap_error,
+    estimate_density,
     extract_gap_records,
     h_exact_all,
     mckay_density,
@@ -191,3 +192,23 @@ integer_spectra = st.lists(st.integers(1, 1000), max_size=40, unique=True).map(s
 def test_h_invariant_under_scaling(ev, c):
     ev = np.array(ev, dtype=float)
     np.testing.assert_allclose(h_exact_all(c * ev), h_exact_all(ev), rtol=1e-12, atol=0.0)
+
+
+# Eigenvalue pools on a lattice of step c, at least two distinct values in
+# all: Freedman-Diaconis then gives at most a few thousand bins.
+lattice_pools = st.lists(st.lists(st.integers(-1000, 1000), max_size=30), min_size=1,
+                         max_size=4).filter(lambda pools: len(set(sum(pools, []))) >= 2)
+
+
+@PROPERTY
+@given(pools=lattice_pools, c=st.floats(1e-3, 1e3), bins=st.none() | st.integers(1, 50))
+@example(pools=[[0, 1]], c=1.0, bins=1)
+def test_histogram_density_support_is_the_pooled_range(pools, c, bins):
+    pools = [c * np.array(pool, dtype=float) for pool in pools]
+    pooled = np.concatenate(pools)
+    lo, hi = pooled.min(), pooled.max()
+    d = estimate_density(pools, bin_width=None if bins is None else (hi - lo) / bins)
+    assert (d(pooled) > 0).all()
+    assert d(np.nextafter(lo, -np.inf)) == 0.0
+    assert d(np.nextafter(hi, np.inf)) == 0.0
+    assert abs(np.sum(d.weights * np.diff(d.edges)) - 1.0) < 1e-12

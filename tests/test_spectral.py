@@ -158,27 +158,45 @@ class TestMcKay:
             assert d(0.0) == 0.0
 
 
+def _mass(d):
+    # The histogram's total mass, sum of weight times bin width.
+    return float(np.sum(d.weights * np.diff(d.edges)))
+
+
 class TestEstimateDensity:
     def test_degenerate_pool(self):
-        d = estimate_density([np.zeros(40)], bin_width=0.5)
-        assert d(0.0) == pytest.approx(2.0)  # 1/bin_width
-        assert d(1.0) == 0.0
+        # one value has no density; refused before the bin width is judged
+        # (Freedman-Diaconis and its fallback both give 0 here)
+        for bin_width in (None, 0.5):
+            with pytest.raises(ValueError, match="eigenvalues must span an interval"):
+                estimate_density([np.zeros(40)], bin_width=bin_width)
 
     @pytest.mark.parametrize("pool", [[0.0, 1.0], [0.0, 0.5, 1.0]])
     def test_span_of_one_bin_width(self, pool):
-        # hi - lo == bin_width makes one bin, whose lone centre has zero
-        # trapezoid mass: the pool takes the flat one-bin table instead
+        # hi - lo == bin_width makes one bin, closed at both ends: density 1
         d = estimate_density([np.array(pool)], bin_width=1.0)
-        np.testing.assert_array_equal(d.grid, [0.0, 1.0])
-        np.testing.assert_array_equal(d.weights, [1.0, 1.0])
-        assert np.trapezoid(d.weights, d.grid) == 1.0
+        np.testing.assert_array_equal(d.edges, [0.0, 1.0])
+        np.testing.assert_array_equal(d.weights, [1.0])
+        assert d(0.0) == d(0.5) == d(1.0) == 1.0
+        assert abs(_mass(d) - 1.0) < 1e-12
 
     def test_zero_iqr_bin_width_fallback(self):
         # Freedman-Diaconis gives 0 here (IQR 0): the width becomes the range
         # over max(10, sqrt(size)) bins, and the mass is still 1
         d = estimate_density([np.array([0.0] * 40 + [1.0, 3.0])])
-        assert d.bandwidth == pytest.approx(0.3)
-        assert np.trapezoid(d.weights, d.grid) == pytest.approx(1.0)
+        np.testing.assert_allclose(np.diff(d.edges), 0.3, rtol=1e-12)
+        assert abs(_mass(d) - 1.0) < 1e-12
+
+    def test_bins_tile_the_pooled_range(self, rng):
+        # equal bins no wider than bin_width, ending exactly at min and max
+        pools = [rng.normal(size=50), rng.normal(size=70)]
+        d = estimate_density(pools, bin_width=0.3)
+        pooled = np.concatenate(pools)
+        assert (d.edges[0], d.edges[-1]) == (pooled.min(), pooled.max())
+        widths = np.diff(d.edges)
+        assert widths.max() <= 0.3
+        np.testing.assert_allclose(widths, widths[0], rtol=1e-9)
+        assert d.weights.size == int(np.ceil(np.ptp(pooled) / 0.3))
 
     def test_averaging_idempotence(self):
         ev = np.linspace(0.0, 5.0, 60)
@@ -188,16 +206,16 @@ class TestEstimateDensity:
         np.testing.assert_allclose(one(grid), two(grid), atol=1e-12)
 
     def test_integrates_to_one_exactly(self, rng):
+        # each pool's histogram has mass 1 on the shared bins, so their mean has
         pools = [rng.normal(size=300) for _ in range(4)]
         d = estimate_density(pools)
-        grid = np.linspace(d.grid[0], d.grid[-1], 20001)
-        total = np.trapezoid(d(grid), grid)
-        assert abs(total - 1.0) < 1e-6
+        assert abs(_mass(d) - 1.0) < 1e-12
 
     def test_zero_outside_support(self, rng):
         d = estimate_density([rng.uniform(0, 1, size=500)])
         assert d(-0.5) == 0.0
         assert d(1.5) == 0.0
+        assert np.isnan(d(np.nan))  # no number for a NaN lambda
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
