@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from functools import cache
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -247,11 +246,6 @@ def _density_at(density, name, lambda0, delta):
     return float(density(lambda0))
 
 
-ESTIMATE_COLUMNS = ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
-                    "n_mean_error", "n_std_error", "regime_violation"]
-HDENSITY_COLUMNS = ["h", "f_H", "F_H"]
-
-
 def _bootstraps(config, spectra):
     # One BootstrapResult per matrix (row of spectra), each from the matrix's
     # own child seed, so neither the pool width nor the order moves a value.
@@ -264,8 +258,8 @@ def _bootstraps(config, spectra):
 def _index_columns(config, spectra, density, records, matrix, boots=()):
     # The finished per-index table: one row per gap record, the columns in
     # file order. `matrix` indexes rows of `spectra` and of `boots`; with no
-    # `boots` the two bootstrap columns stay empty. A new predictor is one more
-    # entry here and one more name in ESTIMATE_COLUMNS.
+    # `boots` the two bootstrap columns stay empty. `estimates.csv` is this
+    # table without `matrix`, so a new predictor is one more entry here.
     row = (matrix, records.index - 1)
     hx = np.array([h_exact_all(ev) for ev in spectra])[row]
     local = (records.lam, records.s_minus, records.s_plus, config.p, density(records.lam))
@@ -293,11 +287,13 @@ def _cell(v):
     return repr(float(v))
 
 
-def _csv_bytes(header, rows):
+def _csv_bytes(columns):
+    # One table shape: {name: column} in file order. A ragged table raises
+    # ValueError here, before run() opens any file.
     text = io.StringIO()
     writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
+    writer.writerow(columns)
+    writer.writerows([_cell(v) for v in row] for row in zip(*columns.values(), strict=True))
     return text.getvalue().encode()
 
 
@@ -307,11 +303,6 @@ def _json_bytes(payload):
     return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
-def _table(cols, names):
-    # The (header, rows) of the named columns of a per-index table.
-    return names, zip(*(cols[c] for c in names))
-
-
 def _run_density(config):
     spectra, connected = _sample_ensemble(config)
     density = _ensemble_density(spectra)
@@ -319,8 +310,7 @@ def _run_density(config):
     grid = 0.5 * (edges[:-1] + edges[1:])
     mckay = SpectralDensity.mckay(config.k)
     return {
-        "density.csv": (["lambda", "rho_empirical", "rho_mckay"],
-                        zip(grid.tolist(), density(grid).tolist(), mckay(grid).tolist())),
+        "density.csv": {"lambda": grid, "rho_empirical": density(grid), "rho_mckay": mckay(grid)},
         "stats.json": {"matrices": config.M, "bin_width": float(edges[1] - edges[0]),
                        "disconnected": int(sum(not c for c in connected))},
     }
@@ -340,10 +330,9 @@ def _run_spacing(config):
     hist, edges = np.histogram(normalized, bins=50, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return {
-        "gaps.csv": (["index", "lambda", "s_minus", "s_plus"], zip(*records)),
-        "spacing.csv": (["s_normalized", "empirical_pdf", "surmise_pdf"],
-                        zip(centers.tolist(), hist.tolist(),
-                            np.asarray(wigner_surmise_pdf(centers, 1.0, rho)).tolist())),
+        "gaps.csv": dict(zip(["index", "lambda", "s_minus", "s_plus"], records)),
+        "spacing.csv": {"s_normalized": centers, "empirical_pdf": hist,
+                        "surmise_pdf": wigner_surmise_pdf(centers, 1.0, rho)},
         "stats.json": {"ks_statistic": ks, "gap_count": records.index.size, "rho_mckay": rho},
     }
 
@@ -364,9 +353,8 @@ def _run_joint_gaps(config):
     l1 = float(np.abs(p_emp - p_mod).sum() + abs(p_emp.sum() - p_mod.sum()))
     c_minus, c_plus = np.meshgrid(centers, centers, indexing="ij")
     return {
-        "joint_gaps.csv": (
-            ["s_minus_center", "s_plus_center", "cell_prob_empirical", "cell_prob_surmise"],
-            zip(c_minus.ravel(), c_plus.ravel(), p_emp.ravel(), p_mod.ravel())),
+        "joint_gaps.csv": {"s_minus_center": c_minus.ravel(), "s_plus_center": c_plus.ravel(),
+                           "cell_prob_empirical": p_emp.ravel(), "cell_prob_surmise": p_mod.ravel()},
         "stats.json": {"l1_distance": l1, "gap_count": count},
     }
 
@@ -400,7 +388,7 @@ def _run_hhat_vs_h(config):
     log_corr = float(np.corrcoef(np.log(hx), np.log(hh))[0, 1])
     lower = hx <= np.median(hx)
     return {
-        "estimates.csv": _table(cols, ESTIMATE_COLUMNS),
+        "estimates.csv": {c: v for c, v in cols.items() if c != "matrix"},
         "stats.json": {
             "log_pearson_corr": log_corr,
             "median_rel_err_corrected_lower_half": float(np.median(np.abs(hh[lower] / hx[lower] - 1.0))),
@@ -417,7 +405,7 @@ def _run_bootstrap_vs_hhat(config):
     ok = ~cols["regime_violation"]
     rel = np.abs(cols["n_mean_error"][ok] / cols["h_hat"][ok] - 1.0)
     return {
-        "estimates.csv": _table(cols, ESTIMATE_COLUMNS),
+        "estimates.csv": {c: v for c, v in cols.items() if c != "matrix"},
         "stats.json": {
             "median_rel_deviation": float(np.median(rel)) if rel.size else None,
             "indices_in_regime": int(ok.sum()),
@@ -432,7 +420,7 @@ def _fh_grid(params):
 
 
 def _fh_table(grid, fh, params):
-    return HDENSITY_COLUMNS, zip(grid, fh, F_H(grid, params))
+    return {"h": grid, "f_H": fh, "F_H": F_H(grid, params)}
 
 
 def _run_fh_density(config):
@@ -444,8 +432,9 @@ def _run_fh_density(config):
     cols = _index_columns(config, spectra, density, *window, _bootstraps(config, spectra))
     grid = _fh_grid(params)
     return {
-        "h_empirical.csv": _table(cols, ["matrix", "index", "lambda", "h_exact", "h_hat"]),
-        "bootstrap.csv": _table(cols, ["matrix", "index", "lambda", "n_mean_error", "n_std_error"]),
+        "h_empirical.csv": {c: cols[c] for c in ("matrix", "index", "lambda", "h_exact", "h_hat")},
+        "bootstrap.csv": {c: cols[c] for c in ("matrix", "index", "lambda", "n_mean_error",
+                                               "n_std_error")},
         "fh.csv": _fh_table(grid, f_H(grid, params), params),
         "stats.json": {
             "rho_at_lambda0": rho0,
@@ -472,17 +461,24 @@ def _run_bound_scatter(config):
     spectra, _ = _sample_ensemble(config, count=1)
     ev = spectra[0]
     hx = h_exact_all(ev)
-    index = np.arange(1, ev.size + 1)
     boots = _fan_out(config, 2, len(config.n),
                      lambda ni, seed: bootstrap_error(ev, config.R, config.n[ni], seed=seed))
-    blocks = []  # the columns of each (n, replicate) pair, in file order
-    for n, boot in zip(config.n, boots):
-        violation = regime_violation(n, hx)
-        for r, res in enumerate(boot.residuals):
-            blocks.append(zip(repeat(n), repeat(r), index, ev, hx, res, n * res, violation))
-    return {"bound_scatter.csv": (["n", "replicate", "index", "lambda", "h_exact",
-                                   "residual", "n_residual", "regime_violation"],
-                                  chain.from_iterable(blocks))}
+    # One (n, replicate, index) cell per row, in file order. The n column
+    # holds the configured ints, which print exactly at any size.
+    res = np.array([boot.residuals for boot in boots])
+    n = np.array(config.n, dtype=float)[:, None, None]
+    columns = {
+        "n": np.array(config.n, dtype=object)[:, None, None],
+        "replicate": np.arange(config.R)[:, None],
+        "index": np.arange(1, ev.size + 1),
+        "lambda": ev,
+        "h_exact": hx,
+        "residual": res,
+        "n_residual": n * res,
+        "regime_violation": regime_violation(n, hx),
+    }
+    return {"bound_scatter.csv": {c: np.broadcast_to(v, res.shape).ravel()
+                                  for c, v in columns.items()}}
 
 
 EXPERIMENTS = {
@@ -518,7 +514,7 @@ def run(experiment, config):
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    data = {name: _csv_bytes(*content) if name.endswith(".csv") else _json_bytes(content)
+    data = {name: _csv_bytes(content) if name.endswith(".csv") else _json_bytes(content)
             for name, content in EXPERIMENTS[experiment](config).items()}
     manifest = {
         "experiment": experiment,

@@ -56,6 +56,13 @@ def eig_sym(m, eigvals_only=False):
     return w, v
 
 
+def _rounding(ev):
+    # eps * size * max|lambda|, c = 1 in a symmetric eigensolver's backward
+    # error c * eps * p * max|lambda|: rounding can split a repeated
+    # eigenvalue by this much.
+    return np.finfo(float).eps * ev.size * np.abs(ev).max(initial=0.0)
+
+
 def _checked_int(name, value, least):
     # value, once it is an integer of at least least (0 or 1); a bool is not a count.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
@@ -67,16 +74,17 @@ def _checked_int(name, value, least):
 def mckay_density(lam, k):
     """Bulk spectral density of random k-regular graph adjacency matrices (McKay's law).
 
-    Zero outside |lam| < 2*sqrt(k-1); k must be an integer of at least 2.
+    Zero outside |lam| < 2*sqrt(k-1), at +-inf too, and NaN at a NaN lam;
+    k must be an integer of at least 2.
     """
     if _checked_int("k", k, 1) < 2:
         raise ValueError("McKay's law requires degree k >= 2")
     lam = np.asarray(lam, dtype=float)
     edge2 = 4.0 * (k - 1.0)
-    inside = lam * lam < edge2
-    lam2 = np.where(inside, lam * lam, 0.0)
+    outside = lam * lam >= edge2  # False for NaN, which stays NaN
+    lam2 = np.where(outside, 0.0, lam * lam)
     rho = k * np.sqrt(edge2 - lam2) / (2.0 * np.pi * (k * k - lam2))
-    return _scalar_if_0d(np.where(inside, rho, 0.0))
+    return _scalar_if_0d(np.where(outside, 0.0, rho))
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,12 @@ def estimate_density(pools, bin_width=None):
     The mean of the pools' histograms on shared equal bins, each no wider
     than ``bin_width``, that end exactly at the pooled minimum and maximum.
     Each histogram has mass 1, so the mean has too. Default bin width follows
-    the Freedman-Diaconis rule on the pooled sample. A NaN or infinite
-    eigenvalue, or a pool of one value, raises ``ValueError``.
+    the Freedman-Diaconis rule on the pooled sample, 2 IQR / size^(1/3); an
+    IQR within rounding (``checked_spectrum``'s tie scale eps * size *
+    max|lambda|, here of the pooled sample) counts as zero, and then the
+    width is the range over max(10, floor(sqrt(size))). A NaN or infinite
+    eigenvalue, a pool of one value, or a width that asks for more than
+    10**6 bins raises ``ValueError``, the last before any bin is made.
     """
     pools = [np.asarray(pool, dtype=float).ravel() for pool in pools]
     pools = [pool for pool in pools if pool.size]
@@ -125,12 +137,20 @@ def estimate_density(pools, bin_width=None):
         raise ValueError("eigenvalues must span an interval")
     if bin_width is None:
         q75, q25 = np.percentile(pooled, [75.0, 25.0])
-        bin_width = (2.0 * (q75 - q25) / pooled.size ** (1.0 / 3.0)
+        iqr = q75 - q25 if q75 - q25 > _rounding(pooled) else 0.0
+        bin_width = (2.0 * iqr / pooled.size ** (1.0 / 3.0)
                      or (hi - lo) / max(10, int(np.sqrt(pooled.size))))
     if not 0 < bin_width < np.inf:  # False for NaN too
         raise ValueError("bin width must be positive and finite")
+    # 10**6 bins, 8 MB of edges and as much per pool, is far above a graph
+    # pool's Freedman-Diaconis count (17 for three p=1000, k=20 Laplacians; it
+    # grows as size^(1/3)). In Python floats, a count past the range is inf.
+    bins = np.ceil(float(hi - lo) / float(bin_width))
+    if not bins <= 10 ** 6:
+        raise ValueError(f"bin width {bin_width:.3g} over the range [{lo:.6g}, {hi:.6g}] asks for "
+                         f"{bins:.3g} bins, more than 1000000")
 
-    edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / bin_width)) + 1)
+    edges = np.linspace(lo, hi, int(bins) + 1)
     weights = np.mean([np.histogram(pool, bins=edges, density=True)[0] for pool in pools], axis=0)
     return SpectralDensity(edges=edges, weights=weights)
 
@@ -163,8 +183,7 @@ def checked_spectrum(eigenvalues):
     gaps = np.diff(ev)
     if not (np.isfinite(ev).all() and (gaps >= 0).all()):
         raise ValueError("eigenvalues must be finite and ascending")
-    # c = 1 in c * eps * p * max|lambda|, a symmetric eigensolver's backward error.
-    tol = np.finfo(float).eps * ev.size * np.abs(ev).max(initial=0.0)
+    tol = _rounding(ev)
     tied = np.flatnonzero(gaps <= tol)
     if tied.size:
         i = tied[0]  # the first tied pair is lambda_(i+1), lambda_(i+2), 1-based

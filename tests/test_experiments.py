@@ -23,8 +23,6 @@ from eigerr import experiments, laplacian, sample_regular_graph
 from eigerr.wishart import child_seed
 from eigerr.cli import _resolve, build_parser, main
 from eigerr.experiments import (
-    ESTIMATE_COLUMNS,
-    HDENSITY_COLUMNS,
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
@@ -37,6 +35,7 @@ from oracles import h_exact
 
 SMALL = dict(p=60, k=4, M=3, R=2, lambda0=4.0, delta=1.0, seed=5)
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read_csv(path):
@@ -332,11 +331,25 @@ class TestRunners:
         assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == manifest["outputs"]
 
     def test_every_output_has_header(self, tmp_path):
-        cfg = ExperimentConfig(out=tmp_path, n=(10 ** 6,), **SMALL)
-        run("bootstrap-vs-hhat", cfg)
-        for name in ("estimates.csv",):
-            rows = read_csv(tmp_path / name)
-            assert not any(ch.isdigit() for ch in rows[0][0])
+        # Each CSV of every runner starts with the header that README "Output
+        # schemas" lists for it, and every row has that many cells.
+        schemas = {}
+        section = README.read_text().split("\n## Output schemas\n")[1].split("\n## ")[0]
+        for line in section.splitlines():
+            files, _, columns = line.rpartition("| `")
+            for name in files.split("`")[1::2]:
+                schemas[name] = columns.rstrip("` |").split(",")
+        written = set()
+        for experiment in EXPERIMENTS:
+            n = (60, 10 ** 6) if experiment == "bound-scatter" else (10 ** 6,)
+            out = tmp_path / experiment
+            for name in [o["path"] for o in run(experiment, ExperimentConfig(
+                    out=out, n=n, **SMALL))["outputs"] if o["path"].endswith(".csv")]:
+                header, *rows = read_csv(out / name)
+                assert header == schemas[name], name
+                assert rows and {len(row) for row in rows} == {len(header)}, name
+                written.add(name)
+        assert written == {name for name in schemas if name.endswith(".csv")}
 
 
 def _csv_text(*rows):
@@ -346,33 +359,35 @@ def _csv_text(*rows):
 _DENSITY_GRID = np.array([15.0, 20.0])
 _GAP_RECORDS = extract_gap_records([1.0, 2.0, 3.0, 4.0], 2.5, 1.0)
 
+_ESTIMATES = ["index", "lambda", "h_exact", "h_hat", "h_hat_uncorrected",
+              "n_mean_error", "n_std_error", "regime_violation"]
+_HDENSITY = ["h", "f_H", "F_H"]
+
 # name -> (serializer, arguments, exact file text)
 WRITER_CASES = {
     "estimates": (
         _csv_bytes,
-        (ESTIMATE_COLUMNS, [[2, 1.5, 3.25, 3.5, 3.0, None, None, False]]),
-        _csv_text(ESTIMATE_COLUMNS, ["2", "1.5", "3.25", "3.5", "3.0", "", "", "0"])),
+        (dict(zip(_ESTIMATES, [[2], [1.5], [3.25], [3.5], [3.0], [None], [None], [False]])),),
+        _csv_text(_ESTIMATES, ["2", "1.5", "3.25", "3.5", "3.0", "", "", "0"])),
     "density": (
         _csv_bytes,
-        (["lambda", "rho"],
-         list(zip(_DENSITY_GRID, SpectralDensity.mckay(20)(_DENSITY_GRID)))),
+        ({"lambda": _DENSITY_GRID, "rho": SpectralDensity.mckay(20)(_DENSITY_GRID)},),
         _csv_text(["lambda", "rho"], ["15.0", "0.06061832720744432"],
                   ["20.0", "0.06937403133025387"])),
     "gaps": (
         _csv_bytes,
-        (["index", "lambda", "s_minus", "s_plus"],
-         zip(*_GAP_RECORDS)),
+        (dict(zip(["index", "lambda", "s_minus", "s_plus"], _GAP_RECORDS)),),
         _csv_text(["index", "lambda", "s_minus", "s_plus"], ["2", "2.0", "1.0", "1.0"],
                   ["3", "3.0", "1.0", "1.0"])),
     "hdensity": (
         _csv_bytes,
-        (HDENSITY_COLUMNS, list(zip([1.0, 2.0], [0.1, 0.2], [0.3, 0.5]))),
-        _csv_text(HDENSITY_COLUMNS, ["1.0", "0.1", "0.3"], ["2.0", "0.2", "0.5"])),
+        (dict(zip(_HDENSITY, [[1.0, 2.0], [0.1, 0.2], [0.3, 0.5]])),),
+        _csv_text(_HDENSITY, ["1.0", "0.1", "0.3"], ["2.0", "0.2", "0.5"])),
     "numpy_scalars": (
         _csv_bytes,
-        (["f64", "i64", "bool", "none"],
-         [(np.float64(0.012612788722549187), np.int64(7), np.bool_(True), None),
-          (np.float32(0.5), np.int32(-3), np.bool_(False), None)]),
+        ({"f64": [np.float64(0.012612788722549187), np.float32(0.5)],
+          "i64": [np.int64(7), np.int32(-3)], "bool": [np.bool_(True), np.bool_(False)],
+          "none": [None, None]},),
         _csv_text(["f64", "i64", "bool", "none"], ["0.012612788722549187", "7", "1", ""],
                   ["0.5", "-3", "0", ""])),
     "tail_json": (
@@ -485,6 +500,17 @@ class TestWriters:
         serialize, args, expected = WRITER_CASES[case]
         assert serialize(*args) == expected.encode()
 
+    def test_ragged_table_raises_before_any_file(self, tmp_path, monkeypatch):
+        # A column one row short would lose rows silently under a plain zip.
+        ragged = {"h": [1.0, 2.0], "f_H": [0.1, 0.2], "F_H": [0.3]}
+        with pytest.raises(ValueError, match="zip"):
+            _csv_bytes(ragged)
+        monkeypatch.setitem(experiments.EXPERIMENTS, "tail",
+                            lambda config: {"tail.json": {}, "fh_tail.csv": ragged})
+        with pytest.raises(ValueError, match="zip"):
+            run("tail", ExperimentConfig(out=tmp_path / "out", **SMALL))
+        assert not any(f.is_file() for f in tmp_path.rglob("*"))
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_json_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="JSON compliant"):
@@ -577,6 +603,17 @@ class TestCli:
         assert code == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["experiment"] == "density"
+
+    def test_disconnected_density_runs(self, tmp_path, capsys):
+        # Two disjoint K_4: rounding splits the six-fold eigenvalue 4, and the
+        # density's bins come from the range, not from the split (4.3e15 bins).
+        flags = ["--p", "8", "--k", "3", "--M", "1", "--seed", "18"]
+        assert main(["run", "density", *flags, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "stats.json").read_text())["disconnected"] == 1
+        assert main(["validate", *flags, "--n", "1e3", "--lambda0", "4", "--delta", "1"]) == 0
+        warned = [w.split(":")[0] for w in json.loads(capsys.readouterr().out)["warnings"]]
+        assert warned == ["window_outside_bulk", "non_simple_spectrum"]
 
     def test_config_error_exit_one(self, tmp_path, capsys):
         code = main(["run", "density", "--p", "5", "--k", "3",

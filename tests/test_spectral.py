@@ -1,5 +1,7 @@
 """Eigensolver contract, density models, gap records, and spacing surmises."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -140,6 +142,16 @@ class TestMcKay:
         with pytest.raises(ValueError):
             mckay_density(0.0, 1)
 
+    def test_nan_in_nan_out(self, rng):
+        # Both densities: no number for a NaN lambda, 0 at -+inf, and no
+        # RuntimeWarning on the way (warnings are errors).
+        lam = np.array([np.nan, -np.inf, np.inf, 20.0])
+        for d in (lambda x: mckay_density(np.subtract(x, 20.0), 20), SpectralDensity.mckay(20),
+                  estimate_density([rng.uniform(15.0, 25.0, size=500)])):
+            out = d(lam)
+            assert np.isnan(out[0]) and out[1] == out[2] == 0.0 and out[3] > 0.0
+            assert np.isnan(d(np.nan))
+
     def test_density_object_support(self):
         # zero at and beyond the edges k -+ 2 sqrt(k-1), positive just inside. An
         # edge is its nearest float outside the support: where k -+ 2 sqrt(k-1)
@@ -186,6 +198,29 @@ class TestEstimateDensity:
         d = estimate_density([np.array([0.0] * 40 + [1.0, 3.0])])
         np.testing.assert_allclose(np.diff(d.edges), 0.3, rtol=1e-12)
         assert abs(_mass(d) - 1.0) < 1e-12
+
+    def test_iqr_within_rounding_counts_as_zero(self):
+        # Two disjoint K_4 less one zero mode: the six-fold eigenvalue 4 comes
+        # back split by rounding, here by 2 ulps. The IQR, 2.7e-15, lies within
+        # eps * size * max|lambda| = 6.2e-15, so it counts as zero: the range
+        # fallback makes 10 bins of 0.4, where Freedman-Diaconis asks 1.4e15.
+        split = 2 * np.spacing(4.0)
+        pool = np.array([0.0, 4.0 - split, 4.0 - split, 4.0, 4.0, 4.0 + split, 4.0 + split])
+        assert np.subtract(*np.percentile(pool, [75.0, 25.0])) == 1.5 * split
+        d = estimate_density([pool])
+        np.testing.assert_allclose(np.diff(d.edges), 0.4, rtol=1e-12)
+        assert d.edges.size == 11 and abs(_mass(d) - 1.0) < 1e-12
+
+    def test_bin_count_is_bounded(self):
+        # A tight cluster and one far value: Freedman-Diaconis asks 1.3e11
+        # bins. It is refused by its count before any bin is made, and so is
+        # a bin width far below the range; 2^19 bins are still made.
+        cluster = np.concatenate([np.linspace(0.0, 2e-8, 20), [1000.0]])
+        for pool, bin_width, count in ((cluster, None, "1.31e+11"), ([0.0, 1.0], 2.0 ** -20, "1.05e+06"),
+                                       ([0.0, 5.0], 1e-310, "inf")):
+            with pytest.raises(ValueError, match=rf"asks for {re.escape(count)} bins, more than 1000000"):
+                estimate_density([pool], bin_width=bin_width)
+        assert estimate_density([[0.0, 1.0]], bin_width=2.0 ** -19).weights.size == 2 ** 19
 
     def test_bins_tile_the_pooled_range(self, rng):
         # equal bins no wider than bin_width, ending exactly at min and max
