@@ -50,7 +50,8 @@ _FLAGS = {
     "seed": (_count, "master RNG seed"),
     "out": (str, "output directory"),
     "threads": (_count, "worker threads, one matrix (or one n of bound-scatter) per task; "
-                         "replicates run serially"),
+                         "replicates run serially, and a stage with one unit runs on the "
+                         "calling thread at any width"),
 }
 
 

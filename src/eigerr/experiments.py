@@ -5,8 +5,8 @@ its analysis-ready CSV/JSON outputs; `run` alone serializes them, writes them
 and records their content hashes in a manifest. Every seeded unit of a run
 draws from ``child_seed(seed, stream, i)``, and replicate r within it from
 ``child_seed(seed, stream, i, r)``. The stream keys are 0 for the i-th graph
-of an ensemble, 1 for the bootstrap of the i-th matrix and 2 for
-`bound-scatter`'s bootstrap at its i-th n. So results do not depend on
+of an ensemble, and 1 and 2 for `_bootstraps`, the one bootstrap step: 1 for
+the i-th matrix, 2 for `bound-scatter`'s i-th n. So results do not depend on
 execution order or pool width, and `run` and `validate` hold numpy's bundled
 OpenBLAS to one thread, so nor on the host's BLAS thread count.
 """
@@ -189,12 +189,12 @@ def _one_blas_thread():
 def _fan_out(config, stream, count, fn):
     # The one place where a run's units get their seeds and a pool:
     # [fn(i, child_seed(config.seed, stream, i)) for i in range(count)], in
-    # index order. Stream keys: 0 a graph, 1 a matrix's bootstrap, 2
-    # bound-scatter's bootstrap at its i-th n. Width 1 stays on the calling
-    # thread: a one-worker pool raised the bootstrap workload's peak RSS by
-    # 12-33 MB, likely as a worker thread allocates from its own malloc arena.
+    # index order. One unit or one worker runs on the calling thread, where a
+    # pool does no parallel work yet costs peak RSS: 12-33 MB for a one-worker
+    # pool on the bootstrap workload, 93 against 81 MB for one-task pools on
+    # p=1000 bound-scatter with one n (likely a worker thread's malloc arena).
     seeds = [child_seed(config.seed, stream, i) for i in range(count)]
-    if config.threads == 1:
+    if min(config.threads, count) <= 1:
         return list(map(fn, range(count), seeds))
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         return list(pool.map(fn, range(count), seeds))
@@ -246,13 +246,14 @@ def _density_at(density, name, lambda0, delta):
     return float(density(lambda0))
 
 
-def _bootstraps(config, spectra):
-    # One BootstrapResult per matrix (row of spectra), each from the matrix's
-    # own child seed, so neither the pool width nor the order moves a value.
-    def boot(m, seed):
-        return bootstrap_error(spectra[m], config.R, config.n[0], seed=seed)
+def _bootstraps(config, stream, units):
+    # The one bootstrap step, streams 1 and 2 of the module docstring: one
+    # BootstrapResult per (spectrum, n) unit, from child_seed(seed, stream, i).
+    def boot(i, seed):
+        ev, n = units[i]
+        return bootstrap_error(ev, config.R, n, seed=seed)
 
-    return _fan_out(config, 1, len(spectra), boot)
+    return _fan_out(config, stream, len(units), boot)
 
 
 def _index_columns(config, spectra, density, records, matrix, boots=()):
@@ -400,7 +401,7 @@ def _run_hhat_vs_h(config):
 
 def _run_bootstrap_vs_hhat(config):
     first, *rest = _first_matrix(config)
-    (result,) = boots = _bootstraps(config, first)
+    (result,) = boots = _bootstraps(config, 1, [(first[0], config.n[0])])
     cols = _index_columns(config, first, *rest, boots)
     ok = ~cols["regime_violation"]
     rel = np.abs(cols["n_mean_error"][ok] / cols["h_hat"][ok] - 1.0)
@@ -429,7 +430,8 @@ def _run_fh_density(config):
     rho0 = _density_at(density, "empirical", config.lambda0, config.delta)
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
     window = _window_records(spectra, config.lambda0, config.delta)
-    cols = _index_columns(config, spectra, density, *window, _bootstraps(config, spectra))
+    boots = _bootstraps(config, 1, [(ev, config.n[0]) for ev in spectra])
+    cols = _index_columns(config, spectra, density, *window, boots)
     grid = _fh_grid(params)
     return {
         "h_empirical.csv": {c: cols[c] for c in ("matrix", "index", "lambda", "h_exact", "h_hat")},
@@ -458,11 +460,9 @@ def _run_tail(config):
 
 
 def _run_bound_scatter(config):
-    spectra, _ = _sample_ensemble(config, count=1)
-    ev = spectra[0]
+    (ev,), _ = _sample_ensemble(config, count=1)
     hx = h_exact_all(ev)
-    boots = _fan_out(config, 2, len(config.n),
-                     lambda ni, seed: bootstrap_error(ev, config.R, config.n[ni], seed=seed))
+    boots = _bootstraps(config, 2, [(ev, n) for n in config.n])
     # One (n, replicate, index) cell per row, in file order. The n column
     # holds the configured ints, which print exactly at any size.
     res = np.array([boot.residuals for boot in boots])

@@ -81,8 +81,10 @@ def mckay_density(lam, k):
         raise ValueError("McKay's law requires degree k >= 2")
     lam = np.asarray(lam, dtype=float)
     edge2 = 4.0 * (k - 1.0)
-    outside = lam * lam >= edge2  # False for NaN, which stays NaN
-    lam2 = np.where(outside, 0.0, lam * lam)
+    with np.errstate(over="ignore"):  # a huge |lam| squares to inf: outside
+        lam2 = lam * lam
+    outside = lam2 >= edge2  # False for NaN, which stays NaN
+    lam2 = np.where(outside, 0.0, lam2)
     rho = k * np.sqrt(edge2 - lam2) / (2.0 * np.pi * (k * k - lam2))
     return _scalar_if_0d(np.where(outside, 0.0, rho))
 

@@ -242,22 +242,52 @@ class TestRunners:
         assert records.index.size == 198
         assert (density(records.lam) > 0).all()
 
-    @pytest.mark.parametrize("experiment", ["hhat-vs-h", "bootstrap-vs-hhat", "fh-density",
-                                            "bound-scatter", "spacing"])
-    def test_determinism_across_runs_and_threads(self, tmp_path, experiment):
+    @pytest.mark.parametrize("experiment, extra", [
+        *(pytest.param(e, {}, id=e) for e in ["hhat-vs-h", "bootstrap-vs-hhat", "fh-density",
+                                               "bound-scatter", "spacing"]),
+        # one-unit stages, which run on the calling thread at any width
+        pytest.param("bound-scatter", {"n": (10 ** 6,)}, id="bound-scatter-one-n"),
+        pytest.param("fh-density", {"M": 1}, id="fh-density-M1"),
+    ])
+    def test_determinism_across_runs_and_threads(self, tmp_path, experiment, extra):
         # The pool width never moves a byte; bootstrap-vs-hhat and fh-density
         # also bootstrap their matrices on the pool, and bound-scatter its n.
         n = (60, 10 ** 6) if experiment == "bound-scatter" else (1000,)
+        cfg = {**SMALL, "n": n, **extra}
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        run(experiment, ExperimentConfig(out=out1, n=n, threads=1, **SMALL))
-        run(experiment, ExperimentConfig(out=out2, n=n, threads=1, **SMALL))
-        run(experiment, ExperimentConfig(out=out3, n=n, threads=3, **SMALL))
+        run(experiment, ExperimentConfig(out=out1, threads=1, **cfg))
+        run(experiment, ExperimentConfig(out=out2, threads=1, **cfg))
+        run(experiment, ExperimentConfig(out=out3, threads=3, **cfg))
         data = sorted(f.name for f in out1.iterdir() if f.name != "manifest.json")
         assert data
         for name in data:
             ref = (out1 / name).read_bytes()
             assert (out2 / name).read_bytes() == ref
             assert (out3 / name).read_bytes() == ref
+
+    def test_pool_only_for_two_units(self, tmp_path, monkeypatch):
+        # At width 2, a stage with one unit runs on the calling thread: no
+        # pool is started for a single task. A stage with more units than
+        # one still gets a pool, with one task per unit.
+        tasks = []
+
+        class Recording(ThreadPoolExecutor):
+            def map(self, fn, *iterables):
+                args = [list(it) for it in iterables]
+                tasks.append(len(args[0]))
+                return super().map(fn, *args)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+        cfg = {**SMALL, "threads": 2}
+        # one graph and one n: both stages have one unit
+        run("bound-scatter", ExperimentConfig(out=tmp_path / "a", n=(10 ** 6,), **cfg))
+        assert tasks == []
+        # M graphs on a pool, then the first matrix's one bootstrap without
+        run("bootstrap-vs-hhat", ExperimentConfig(out=tmp_path / "b", n=(1000,), **cfg))
+        assert tasks == [SMALL["M"]]
+        # one graph without a pool, then two n on one
+        run("bound-scatter", ExperimentConfig(out=tmp_path / "c", n=(60, 10 ** 6), **cfg))
+        assert tasks == [SMALL["M"], 2]
 
     def test_no_index_in_regime_writes_null(self, tmp_path):
         # n = p puts every index out of regime, so the median has no data:
@@ -701,6 +731,8 @@ class TestCli:
             ("joint-gaps", "1", "1", "McKay density vanishes at lambda=0.0;"),
             ("fh-density", "7", "1", "empirical density vanishes at lambda=8.0;"),
             ("fh-density", "1", "1", "empirical density vanishes at lambda=0.0;"),
+            # a lambda0 whose square overflows is outside McKay's support
+            ("spacing", "1e308", "1e308", "McKay density vanishes at lambda0=1e+308;"),
         ]
         for i, (experiment, lambda0, delta, message) in enumerate(cases):
             code = main(["run", experiment, "--p", "60", "--k", "4", "--M", "2",

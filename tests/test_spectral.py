@@ -143,14 +143,16 @@ class TestMcKay:
             mckay_density(0.0, 1)
 
     def test_nan_in_nan_out(self, rng):
-        # Both densities: no number for a NaN lambda, 0 at -+inf, and no
-        # RuntimeWarning on the way (warnings are errors).
-        lam = np.array([np.nan, -np.inf, np.inf, 20.0])
+        # Both densities: no number for a NaN lambda, 0 at -+inf and at -+1e200,
+        # whose square is past the float range, and no RuntimeWarning on the
+        # way (warnings are errors).
+        lam = np.array([np.nan, -np.inf, np.inf, -1e200, 1e200, 20.0])
         for d in (lambda x: mckay_density(np.subtract(x, 20.0), 20), SpectralDensity.mckay(20),
                   estimate_density([rng.uniform(15.0, 25.0, size=500)])):
             out = d(lam)
-            assert np.isnan(out[0]) and out[1] == out[2] == 0.0 and out[3] > 0.0
+            assert np.isnan(out[0]) and (out[1:5] == 0.0).all() and out[5] > 0.0
             assert np.isnan(d(np.nan))
+            assert [d(x) for x in lam[1:5].tolist()] == [0.0] * 4
 
     def test_density_object_support(self):
         # zero at and beyond the edges k -+ 2 sqrt(k-1), positive just inside. An
