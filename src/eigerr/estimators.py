@@ -144,13 +144,13 @@ def replicate_residuals(root, n, seed):
     return residuals, crossing
 
 
-def bootstrap_error(eigenvalues, R, n, seed=0):
+def bootstrap_error(eigenvalues, R, n, seed):
     """Monte-Carlo estimate of n * E||u_i - u_tilde_i||^2 per index.
 
     ``eigenvalues`` is the ascending spectrum of the population matrix C.
     Draws R scaled Wishart replicates at sample size n around C in its
-    eigenbasis. ``seed`` is an int or a ``SeedSequence`` (such as a child
-    seed), and replicate r draws from ``child_seed(seed, r)``, so each
+    eigenbasis. ``seed`` is required, an int or a ``SeedSequence`` (such as
+    a child seed), and replicate r draws from ``child_seed(seed, r)``, so each
     replicate is reproducible in isolation. It pairs sample eigenvectors with
     population ones in sorted-index order, and keeps each replicate's
     sign-aligned residuals; see ``replicate_residuals``.

@@ -311,7 +311,7 @@ def _run_density(config):
     grid = 0.5 * (edges[:-1] + edges[1:])
     mckay = SpectralDensity.mckay(config.k)
     return {
-        "density.csv": {"lambda": grid, "rho_empirical": density(grid), "rho_mckay": mckay(grid)},
+        "density.csv": {"lambda": grid, "rho_empirical": density.weights, "rho_mckay": mckay(grid)},
         "stats.json": {"matrices": config.M, "bin_width": float(edges[1] - edges[0]),
                        "disconnected": int(sum(not c for c in connected))},
     }

@@ -113,13 +113,13 @@ class SpectralDensity:
         return _scalar_if_0d(np.where(outside, 0.0, np.where(np.isnan(lam), lam, self.weights[j])))
 
 
-def estimate_density(pools, bin_width=None):
+def estimate_density(pools):
     """Ensemble-averaged spectral density from per-matrix eigenvalue pools.
 
-    The mean of the pools' histograms on shared equal bins, each no wider
-    than ``bin_width``, that end exactly at the pooled minimum and maximum.
-    Each histogram has mass 1, so the mean has too. Default bin width follows
-    the Freedman-Diaconis rule on the pooled sample, 2 IQR / size^(1/3); an
+    The mean of the pools' histograms on shared equal bins that end exactly
+    at the pooled minimum and maximum. Each histogram has mass 1, so the
+    mean has too. One bin rule: the bins are no wider than the
+    Freedman-Diaconis width of the pooled sample, 2 IQR / size^(1/3); an
     IQR within rounding (``checked_spectrum``'s tie scale eps * size *
     max|lambda|, here of the pooled sample) counts as zero, and then the
     width is the range over max(10, floor(sqrt(size))). A NaN or infinite
@@ -137,17 +137,14 @@ def estimate_density(pools, bin_width=None):
         raise ValueError("eigenvalues must be finite")
     if hi == lo:
         raise ValueError("eigenvalues must span an interval")
-    if bin_width is None:
-        q75, q25 = np.percentile(pooled, [75.0, 25.0])
-        iqr = q75 - q25 if q75 - q25 > _rounding(pooled) else 0.0
-        bin_width = (2.0 * iqr / pooled.size ** (1.0 / 3.0)
-                     or (hi - lo) / max(10, int(np.sqrt(pooled.size))))
-    if not 0 < bin_width < np.inf:  # False for NaN too
-        raise ValueError("bin width must be positive and finite")
+    q75, q25 = np.percentile(pooled, [75.0, 25.0])
+    iqr = q75 - q25 if q75 - q25 > _rounding(pooled) else 0.0
+    bin_width = (2.0 * iqr / pooled.size ** (1.0 / 3.0)
+                 or (hi - lo) / max(10, int(np.sqrt(pooled.size))))
     # 10**6 bins, 8 MB of edges and as much per pool, is far above a graph
     # pool's Freedman-Diaconis count (17 for three p=1000, k=20 Laplacians; it
-    # grows as size^(1/3)). In Python floats, a count past the range is inf.
-    bins = np.ceil(float(hi - lo) / float(bin_width))
+    # grows as size^(1/3)).
+    bins = np.ceil((hi - lo) / bin_width)
     if not bins <= 10 ** 6:
         raise ValueError(f"bin width {bin_width:.3g} over the range [{lo:.6g}, {hi:.6g}] asks for "
                          f"{bins:.3g} bins, more than 1000000")

@@ -232,18 +232,18 @@ class TestBootstrap:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="replicate"):
-            bootstrap_error(np.array([1.0, 2.0]), R=0, n=10)
+            bootstrap_error(np.array([1.0, 2.0]), R=0, n=10, seed=0)
         with pytest.raises(ValueError, match="positive"):
-            bootstrap_error(np.array([1.0, 2.0]), R=1, n=0)
+            bootstrap_error(np.array([1.0, 2.0]), R=1, n=0, seed=0)
 
     def test_matrix_or_unsorted_spectrum_rejected(self):
         # The bootstrap reads only C's ascending spectrum; a matrix or a
         # reversed spectrum must not run as if it were one.
         c = population(np.diag([1.0, 2.0, 4.0]))
         with pytest.raises(ValueError, match="1-D"):
-            bootstrap_error(c.matrix, R=2, n=100)
+            bootstrap_error(c.matrix, R=2, n=100, seed=0)
         with pytest.raises(ValueError, match="ascending"):
-            bootstrap_error(c.eigenvalues[::-1], R=2, n=100)
+            bootstrap_error(c.eigenvalues[::-1], R=2, n=100, seed=0)
 
 
 def _rotated(ev, seed):

@@ -227,6 +227,35 @@ class TestCumulative:
             assert F_H(target, UNIT) == pytest.approx(approx, abs=1e-3)
 
 
+class TestTailLaw:
+    # f_H's tail in closed form, in u = h/(lam a)^2: as one gap closes,
+    #   f_H = K (lam a)^2 / h^2 (1 + 1.5/sqrt(u)) + O(h^-3),
+    #   1 - F_H = K (lam a)^2 / h (1 + 1/sqrt(u)) + O(h^-2),
+    # with K = 81/(16 pi) from J's one-gap marginal near a zero gap, on either
+    # side. An oracle of its own: it shares no route with the quadrature,
+    # where the other f_H tests compare two routes to the same integral.
+    K = 81.0 / (16.0 * math.pi)
+    U = np.geomspace(1e3, 1e8, 26)
+
+    @pytest.mark.parametrize("params", [
+        LAM20,
+        HDensityParams(lam=20.0, p=2000, rho=SpectralDensity.mckay(20)(20.0)),
+        HDensityParams(lam=0.5, p=3, rho=0.1),
+        HDensityParams(lam=5.0, p=200, rho=0.05),
+    ], ids=["lam20-p1000", "lam20-p2000", "lam0.5-p3", "lam5-p200"])
+    def test_two_term_tail(self, params):
+        # the residuals fall as 1/u: u |rel| peaks at 5.2 for f_H and 2.6 for
+        # 1 - F_H; past u = 1e6, rounding in 1 - F_H dominates
+        scale = (params.lam * params.a) ** 2
+        u = self.U
+        h = u * scale
+        rel = f_H(h, params) * h * h / (self.K * scale * (1.0 + 1.5 / np.sqrt(u))) - 1.0
+        assert (np.abs(rel) <= 8.0 / u).all()
+        u, h = u[u <= 1e6], h[u <= 1e6]
+        rel = (1.0 - F_H(h, params)) * h / (self.K * scale * (1.0 + 1.0 / np.sqrt(u))) - 1.0
+        assert (np.abs(rel) <= 4.0 / u).all()
+
+
 def _upper_mass_erfcx(lo, x, params):
     # The erfcx form of I(lo, x) = int_lo^inf J(y, x) dy that the erfc form
     # replaces, kept as the oracle; returns the value, |T1| + |T2| (the size of

@@ -25,7 +25,7 @@ RHO = SpectralDensity.mckay(20)(20.0)
 PARAMS = HDensityParams(lam=20.0, p=1000, rho=RHO)
 H = 4.0 * (PARAMS.lam * PARAMS.a) ** 2
 S_PLUS = 2.0 * s0(H, PARAMS)
-EMPIRICAL = estimate_density([np.linspace(0.0, 40.0, 200)], bin_width=2.0)
+EMPIRICAL = estimate_density([np.linspace(0.0, 40.0, 200)])
 
 # name: (function of one argument, argument, type of a scalar result)
 CASES = {

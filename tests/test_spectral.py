@@ -181,14 +181,15 @@ class TestEstimateDensity:
     def test_degenerate_pool(self):
         # one value has no density; refused before the bin width is judged
         # (Freedman-Diaconis and its fallback both give 0 here)
-        for bin_width in (None, 0.5):
-            with pytest.raises(ValueError, match="eigenvalues must span an interval"):
-                estimate_density([np.zeros(40)], bin_width=bin_width)
+        with pytest.raises(ValueError, match="eigenvalues must span an interval"):
+            estimate_density([np.zeros(40)])
 
-    @pytest.mark.parametrize("pool", [[0.0, 1.0], [0.0, 0.5, 1.0]])
+    @pytest.mark.parametrize("pool", [[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.5, 1.0, 1.0]])
     def test_span_of_one_bin_width(self, pool):
-        # hi - lo == bin_width makes one bin, closed at both ends: density 1
-        d = estimate_density([np.array(pool)], bin_width=1.0)
+        # IQR 1: the Freedman-Diaconis widths, 2 / 4^(1/3) = 1.26 and
+        # 2 / 5^(1/3) = 1.17, are wider than the range, which makes one bin,
+        # closed at both ends: density 1
+        d = estimate_density([np.array(pool)])
         np.testing.assert_array_equal(d.edges, [0.0, 1.0])
         np.testing.assert_array_equal(d.weights, [1.0])
         assert d(0.0) == d(0.5) == d(1.0) == 1.0
@@ -215,32 +216,38 @@ class TestEstimateDensity:
 
     def test_bin_count_is_bounded(self):
         # A tight cluster and one far value: Freedman-Diaconis asks 1.3e11
-        # bins. It is refused by its count before any bin is made, and so is
-        # a bin width far below the range; 2^19 bins are still made.
-        cluster = np.concatenate([np.linspace(0.0, 2e-8, 20), [1000.0]])
-        for pool, bin_width, count in ((cluster, None, "1.31e+11"), ([0.0, 1.0], 2.0 ** -20, "1.05e+06"),
-                                       ([0.0, 5.0], 1e-310, "inf")):
+        # bins, or 1.05e6 for a looser cluster. Each is refused by its count
+        # before any bin is made; 524,196 bins are still made.
+        def clustered(span, far):
+            return [np.concatenate([np.linspace(0.0, span, 20), [far]])]
+
+        for span, far, count in ((2e-8, 1000.0, "1.31e+11"), (2.5e-6, 1.0, "1.05e+06")):
             with pytest.raises(ValueError, match=rf"asks for {re.escape(count)} bins, more than 1000000"):
-                estimate_density([pool], bin_width=bin_width)
-        assert estimate_density([[0.0, 1.0]], bin_width=2.0 ** -19).weights.size == 2 ** 19
+                estimate_density(clustered(span, far))
+        assert estimate_density(clustered(5e-6, 1.0)).weights.size == 524_196
 
     def test_bins_tile_the_pooled_range(self, rng):
-        # equal bins no wider than bin_width, ending exactly at min and max
+        # equal bins no wider than the Freedman-Diaconis width of the pooled
+        # sample, ending exactly at min and max
         pools = [rng.normal(size=50), rng.normal(size=70)]
-        d = estimate_density(pools, bin_width=0.3)
+        d = estimate_density(pools)
         pooled = np.concatenate(pools)
+        width = 2.0 * np.subtract(*np.percentile(pooled, [75.0, 25.0])) / pooled.size ** (1.0 / 3.0)
         assert (d.edges[0], d.edges[-1]) == (pooled.min(), pooled.max())
         widths = np.diff(d.edges)
-        assert widths.max() <= 0.3
+        assert widths.max() <= width
         np.testing.assert_allclose(widths, widths[0], rtol=1e-9)
-        assert d.weights.size == int(np.ceil(np.ptp(pooled) / 0.3))
+        assert d.weights.size == int(np.ceil(np.ptp(pooled) / width))
 
     def test_averaging_idempotence(self):
+        # the mean over two copies of a pool is the histogram of the two
+        # concatenated, bit for bit: both pool the same sample, so share
+        # their bins, and doubling every count moves no density
         ev = np.linspace(0.0, 5.0, 60)
-        one = estimate_density([ev], bin_width=0.5)
-        two = estimate_density([ev, ev], bin_width=0.5)
-        grid = np.linspace(-1.0, 6.0, 200)
-        np.testing.assert_allclose(one(grid), two(grid), atol=1e-12)
+        two = estimate_density([ev, ev])
+        joined = estimate_density([np.concatenate([ev, ev])])
+        np.testing.assert_array_equal(two.edges, joined.edges)
+        np.testing.assert_array_equal(two.weights, joined.weights)
 
     def test_integrates_to_one_exactly(self, rng):
         # each pool's histogram has mass 1 on the shared bins, so their mean has
@@ -259,23 +266,17 @@ class TestEstimateDensity:
             estimate_density([])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("bin_width", [None, 0.5])
-    def test_non_finite_eigenvalue_rejected(self, bad, bin_width):
+    def test_non_finite_eigenvalue_rejected(self, bad):
         # refused by name, with no RuntimeWarning on the way (warnings are errors)
         pools = [np.linspace(0.0, 5.0, 60), np.array([1.0, bad, 2.0])]
         with pytest.raises(ValueError, match="eigenvalues must be finite"):
-            estimate_density(pools, bin_width=bin_width)
-
-    @pytest.mark.parametrize("bin_width", [0.0, -0.5, np.nan, np.inf])
-    def test_bin_width_must_be_positive_and_finite(self, bin_width):
-        with pytest.raises(ValueError, match="bin width must be positive and finite"):
-            estimate_density([np.linspace(0.0, 5.0, 60)], bin_width=bin_width)
+            estimate_density(pools)
 
     def test_l1_against_mckay_bulk(self):
         # ensemble-averaged histogram converges to the shifted McKay law
         mats = [laplacian(sample_regular_graph(500, 20, seed=s)) for s in range(50)]
         pools = [m.eigenvalues[1:] for m in mats]  # drop the zero outlier
-        d = estimate_density(pools, bin_width=0.25)
+        d = estimate_density(pools)
         lo = 20.0 - 2.0 * np.sqrt(19.0)
         hi = 20.0 + 2.0 * np.sqrt(19.0)
         grid = np.linspace(lo, hi, 4001)
