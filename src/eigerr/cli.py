@@ -1,22 +1,17 @@
 """Command-line front end for the experiment runner.
 
-Every flag can also be supplied through an environment variable with the
-``EIGERR_`` prefix (explicit flags win); anything left unset takes its
-default from ``ExperimentConfig``. Exit codes: 0 success, 1
-configuration error, 2 runtime error (with a machine-readable JSON error
-record on stderr).
+A flag left unset takes its default from ``ExperimentConfig``. Exit
+codes: 0 success, 1 configuration error, 2 runtime error (with a
+machine-readable JSON error record on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run, validate
-
-ENV_PREFIX = "EIGERR_"
 
 
 def _count(text):
@@ -56,20 +51,16 @@ _FLAGS = {
 
 
 def _add_flags(parser):
-    # An EIGERR_* value is a string default, which argparse parses as if it
-    # had been typed: a flag beats it, and a bad one is a parse error.
     defaults = ExperimentConfig().as_dict()
     for name, (caster, help_text) in _FLAGS.items():
         default = defaults[name]
         if name == "n":
             default = ",".join(map(str, default))
-        env = ENV_PREFIX + name.upper()
-        parser.add_argument(f"--{name}", type=caster, default=os.environ.get(env),
-                            help=f"{help_text} (env {env}, default {default})")
+        parser.add_argument(f"--{name}", type=caster, help=f"{help_text} (default {default})")
 
 
 def _resolve(args):
-    # Only flags and env vars actually given; ExperimentConfig fills the rest.
+    # Only flags actually given; ExperimentConfig fills the rest.
     return ExperimentConfig(**{name: value for name in _FLAGS
                                if (value := getattr(args, name)) is not None})
 

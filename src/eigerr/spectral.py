@@ -123,8 +123,9 @@ def estimate_density(pools):
     IQR within rounding (``checked_spectrum``'s tie scale eps * size *
     max|lambda|, here of the pooled sample) counts as zero, and then the
     width is the range over max(10, floor(sqrt(size))). A NaN or infinite
-    eigenvalue, a pool of one value, or a width that asks for more than
-    10**6 bins raises ``ValueError``, the last before any bin is made.
+    eigenvalue, a pool of one value, a range or 2 IQR past the float range
+    (both before they overflow), or a width that asks for more than 10**6
+    bins raises ``ValueError``, the last before any bin is made.
     """
     pools = [np.asarray(pool, dtype=float).ravel() for pool in pools]
     pools = [pool for pool in pools if pool.size]
@@ -137,7 +138,14 @@ def estimate_density(pools):
         raise ValueError("eigenvalues must be finite")
     if hi == lo:
         raise ValueError("eigenvalues must span an interval")
+    # hi - lo (in np.percentile too) and 2 IQR must stay finite; the halves are exact.
+    half_max = np.finfo(float).max / 2
+    if hi / 2 - lo / 2 > half_max:
+        raise ValueError(f"the eigenvalue range [{lo:.6g}, {hi:.6g}] is wider than a float holds")
     q75, q25 = np.percentile(pooled, [75.0, 25.0])
+    if q75 - q25 > half_max:
+        raise ValueError(f"twice the IQR of the eigenvalue range [{lo:.6g}, {hi:.6g}] "
+                         "is more than a float holds")
     iqr = q75 - q25 if q75 - q25 > _rounding(pooled) else 0.0
     bin_width = (2.0 * iqr / pooled.size ** (1.0 / 3.0)
                  or (hi - lo) / max(10, int(np.sqrt(pooled.size))))

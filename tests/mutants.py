@@ -1,0 +1,112 @@
+"""A standing table of code mutants, each with the tests that must kill it.
+
+Run ``python tests/mutants.py`` from any directory (stdlib only; pytest is
+not collecting this file). For each row it copies ``src/``, ``tests/``,
+``pyproject.toml`` (which puts the copied ``src`` first on the path) and
+``README.md`` (which tests read) to a temporary directory, replaces the
+row's old text, which must occur exactly once in its file, and runs
+``python -m pytest -x -q`` on the row's killer node IDs. A mutant is
+killed when pytest reports a failing test (exit 1). It prints each
+mutant's outcome and wall time, and exits 1 when a mutant survives, a row
+is refused (its old text is absent or repeated) or pytest ends any other
+way (a node ID not found, a collection error).
+
+A new guard or check lands with its mutant in this table.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/eigerr, exact old text, new text, killer node IDs)
+MUTANTS = [
+    ("tie tolerance", "spectral.py",
+     "tied = np.flatnonzero(gaps <= tol)",
+     "tied = np.flatnonzero(gaps < tol)",
+     ["tests/test_spectral.py::TestGapRecords::test_ties_rejected"]),
+    ("residual abs", "estimators.py",
+     "dots = np.abs(np.diagonal(v))",
+     "dots = np.diagonal(v)",
+     ["tests/test_estimators.py::TestBootstrap::test_diagonal_matches_h_exact"]),
+    ("h_hat correction", "estimators.py",
+     "if include_correction:",
+     "if False:",
+     ["tests/test_estimators.py::TestHHat::test_corrected_evaluation"]),
+    ("seed keys", "wishart.py",
+     "spawn_key=key)",
+     "spawn_key=key[::-1])",
+     ["tests/test_wishart.py::TestBartlettSampling::test_child_seed_composes"]),
+    ("_agreed never raises", "hdensity.py",
+     "    if failed:\n",
+     "    if False:\n",
+     ["tests/test_hdensity.py::TestFixedRule::test_fixed_rule_gate_is_relative"]),
+    ("_density_at centre only", "experiments.py",
+     '(("lambda0", lambda0), ("lambda", lambda0 - delta), ("lambda", lambda0 + delta))',
+     '(("lambda0", lambda0),)',
+     ["tests/test_experiments.py::TestCli::test_runtime_error_exit_two"]),
+    ("pool seeds reversed", "experiments.py",
+     "seeds = [child_seed(config.seed, stream, i) for i in range(count)]",
+     "seeds = [child_seed(config.seed, stream, i) for i in range(count)][::-1]",
+     ["tests/test_experiments.py::TestRunners::test_rows_belong_to_their_index"]),
+    ("sampler block one short", "hdensity.py",
+     "r, theta = sm[start:start + _MC_BLOCK], sp[start:start + _MC_BLOCK]",
+     "r, theta = sm[start:start + _MC_BLOCK - 1], sp[start:start + _MC_BLOCK - 1]",
+     ["tests/test_hdensity.py::TestSampler::test_blocked_equals_whole_array[unit-8192]"]),
+    # f_H x (1 + 0.05 u / (u + 1000)): 5% more tail past u ~ 1000, which the 9
+    # acceptance criteria all pass; the closed-form tail law rejects it.
+    ("f_H 5% tail", "hdensity.py",
+     "    return _half_arc_rule(h, params, terms) / _h_unit(params)\n",
+     "    u = np.asarray(h, dtype=float) / _h_unit(params)\n"
+     "    return _half_arc_rule(h, params, terms) / _h_unit(params) * (1.0 + 0.05 * u / (u + 1000.0))\n",
+     ["tests/test_hdensity.py::TestTailLaw"]),
+]
+
+
+def run_mutant(file, old, new, killers):
+    """'killed', 'survived', or why the row could not be judged."""
+    with tempfile.TemporaryDirectory(prefix="eigerr-mutant-") as tmp:
+        tmp = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, tmp / tree, ignore=skip)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, tmp)
+        target = tmp / "src" / "eigerr" / file
+        text = target.read_text()
+        if text.count(old) != 1:
+            return f"refused: old text found {text.count(old)} times in {file}"
+        target.write_text(text.replace(old, new))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *killers],
+            cwd=tmp, env={**os.environ, "PYTHONPATH": str(tmp / "src")},
+            capture_output=True, text=True)
+    if done.returncode == 1:
+        return "killed"
+    if done.returncode == 0:
+        return "survived"
+    return f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+
+
+def main():
+    bad = []
+    for name, file, old, new, killers in MUTANTS:
+        start = time.perf_counter()
+        outcome = run_mutant(file, old, new, killers)
+        print(f"{time.perf_counter() - start:6.1f} s  {name}: {outcome}", flush=True)
+        if outcome != "killed":
+            bad.append(name)
+    if bad:
+        print(f"{len(bad)} of {len(MUTANTS)} mutants not killed: {', '.join(bad)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,13 +2,17 @@
 
 None of them is on a pipeline path: ``h_exact`` is the per-index form of
 ``h_exact_all``'s sum, and the two graph matrices and ``population`` rebuild
-what ``laplacian`` assembles in one array.
+what ``laplacian`` assembles in one array. ``model_cdf_grid`` and
+``hist_l1`` are criterion 5's comparison of an h pool with f_H, and
+``poisson_spectrum`` is a population with no level repulsion.
 """
 
 import numpy as np
 
 from eigerr.graphs import PopulationMatrix
-from eigerr.spectral import checked_spectrum, eig_sym
+from eigerr.hdensity import f_H
+from eigerr.spectral import SpectralDensity, checked_spectrum, eig_sym
+from eigerr.wishart import child_seed
 
 
 def h_exact(eigenvalues, i):
@@ -49,3 +53,36 @@ def population(m):
     """Wrap a symmetric matrix with its sorted eigenvalues, as ``laplacian`` does."""
     m = np.asarray(m, dtype=float)
     return PopulationMatrix(matrix=m, eigenvalues=eig_sym(m, eigvals_only=True))
+
+
+def model_cdf_grid(params, h_lo, h_hi, n=600):
+    """Fine-grid cumulative of f_H (single-route: density only)."""
+    grid = np.geomspace(h_lo, h_hi, n)
+    fh = np.array([f_H(h, params) for h in grid])
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (fh[1:] + fh[:-1]) * np.diff(grid))])
+    return grid, cum
+
+
+def hist_l1(samples, grid, cum, nbins=30):
+    """L1 distance between a sample histogram and the f_H bin masses."""
+    bins = np.geomspace(np.quantile(samples, 0.005), np.quantile(samples, 0.995),
+                        nbins + 1)
+    counts, _ = np.histogram(samples, bins=bins)
+    p_emp = counts / samples.size
+    p_mod = np.diff(np.interp(bins, grid, cum))
+    return float(np.abs(p_emp - p_mod).sum() + abs(p_emp.sum() - p_mod.sum()))
+
+
+def poisson_spectrum(p, k, seed):
+    """A "Poisson" spectrum with the k-regular Laplacian's density: the zero
+    mode, then p - 1 sorted iid draws from McKay's law, by inverse CDF.
+
+    Its levels are uncorrelated (Berry & Tabor 1977), so its gaps show no
+    repulsion: the negative control of the GOE spacing assumption.
+    """
+    edge = 2.0 * np.sqrt(k - 1.0)
+    grid = np.linspace(k - edge, k + edge, 20_001)
+    rho = SpectralDensity.mckay(k)(grid)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(grid))])
+    draws = np.random.default_rng(child_seed(seed)).random(p - 1) * cdf[-1]
+    return np.concatenate([[0.0], np.sort(np.interp(draws, cdf, grid))])

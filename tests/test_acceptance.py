@@ -27,6 +27,7 @@ from eigerr.hdensity import (
 )
 from eigerr.spectral import eig_sym
 from eigerr.wishart import child_seed, sample_wishart_scaled
+from oracles import hist_l1, model_cdf_grid
 
 MCKAY = eg.SpectralDensity.mckay(20)
 RHO20 = MCKAY(20.0)
@@ -39,24 +40,6 @@ def report(name, ok, detail):
 def interior(ev):
     """Two-sided-gap view of a spectrum: lam, s-, s+ for indices 2..p-1."""
     return ev[1:-1], np.diff(ev)[:-1], np.diff(ev)[1:]
-
-
-def model_cdf_grid(params, h_lo, h_hi, n=600):
-    """Fine-grid cumulative of f_H (single-route: density only)."""
-    grid = np.geomspace(h_lo, h_hi, n)
-    fh = np.array([f_H(h, params) for h in grid])
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (fh[1:] + fh[:-1]) * np.diff(grid))])
-    return grid, cum
-
-
-def hist_l1(samples, grid, cum, nbins=30):
-    """L1 distance between a sample histogram and the f_H bin masses."""
-    bins = np.geomspace(np.quantile(samples, 0.005), np.quantile(samples, 0.995),
-                        nbins + 1)
-    counts, _ = np.histogram(samples, bins=bins)
-    p_emp = counts / samples.size
-    p_mod = np.diff(np.interp(bins, grid, cum))
-    return float(np.abs(p_emp - p_mod).sum() + abs(p_emp.sum() - p_mod.sum()))
 
 
 def test_criterion_1_hhat_accuracy():

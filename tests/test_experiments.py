@@ -1,4 +1,4 @@
-"""Experiment runner and CLI: schemas, determinism, env overrides, exit codes."""
+"""Experiment runner and CLI: schemas, determinism, flags, exit codes."""
 
 import csv
 import ctypes
@@ -448,7 +448,6 @@ class TestBlasPin:
     def test_files_equal_at_one_and_two_blas_threads(self, tmp_path):
         # At p=1000 a second BLAS thread moved the last digits of all four
         # data files. Each run is a fresh process started at its count.
-        env = {k: v for k, v in os.environ.items() if not k.startswith("EIGERR_")}
         data = []
         for threads in ("1", "2"):
             out = tmp_path / threads
@@ -456,7 +455,7 @@ class TestBlasPin:
                 [sys.executable, "-m", "eigerr.cli", "run", "fh-density", "--p", "1000",
                  "--k", "20", "--M", "2", "--R", "1", "--n", "1e8", "--seed", "3",
                  "--out", str(out)],
-                env={**env, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)},
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)},
                 capture_output=True, timeout=300, check=True)
             data.append({f.name: f.read_bytes() for f in out.iterdir()
                          if f.name != "manifest.json"})
@@ -800,38 +799,27 @@ class TestCli:
         stats = json.loads((tmp_path / "density" / "stats.json").read_text())
         assert stats["disconnected"] == 1
 
-    def test_env_override_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EIGERR_P", "10")
-        monkeypatch.setenv("EIGERR_K", "2")
-        monkeypatch.setenv("EIGERR_M", "2")
-        monkeypatch.setenv("EIGERR_N", "1e3")
-        monkeypatch.setenv("EIGERR_LAMBDA0", "2")
-        monkeypatch.setenv("EIGERR_SEED", "5")
-        monkeypatch.setenv("EIGERR_OUT", str(tmp_path / "envout"))
-        code = main(["run", "density", "--p", "20"])  # flag beats env
-        assert code == 0
-        manifest = json.loads(capsys.readouterr().out)
-        assert manifest["config"]["p"] == 20
-        assert manifest["config"]["k"] == 2
-        assert (tmp_path / "envout" / "density.csv").exists()
-
-    def test_help_names_every_env_variable(self, capsys):
+    def test_no_environment_channel(self, tmp_path, capsys, monkeypatch):
+        # A run's config is its command line: --help names no variable, and
+        # an exported EIGERR_P leaves p at ExperimentConfig's default.
         for command in ("run", "validate"):
             assert main([command, "--help"]) == 0
-            text = capsys.readouterr().out
-            for name in ("P", "K", "N", "R", "M", "LAMBDA0", "DELTA", "SEED", "OUT", "THREADS"):
-                assert f"EIGERR_{name}," in text
+            assert "EIGERR_" not in capsys.readouterr().out
+        monkeypatch.setenv("EIGERR_P", "10")
+        assert main(["run", "density", "--k", "4", "--M", "1", "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["config"]["p"] == ExperimentConfig().p
 
-    @pytest.mark.parametrize("name, value, message", [
-        ("P", "abc", "error: argument --p: invalid integer value: 'abc'"),
-        ("N", ",", "error: argument --n: invalid integer list value: ','"),
-        ("SEED", "-1", "config error: seed must be >= 0"),
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--p", "abc", "error: argument --p: invalid integer value: 'abc'"),
+        ("--n", ",", "error: argument --n: invalid integer list value: ','"),
+        ("--seed", "-1", "config error: seed must be >= 0"),
     ], ids=["p", "n", "seed"])
-    def test_bad_env_value_exit_one(self, tmp_path, capsys, monkeypatch, name, value, message):
-        # an EIGERR_* value is parsed as its flag would be, before any file
-        monkeypatch.setenv(f"EIGERR_{name}", value)
+    def test_bad_flag_value_exit_one(self, tmp_path, capsys, flag, value, message):
+        # a bad value is refused before any file is written
         out = tmp_path / "out"
-        assert main(["run", "density", "--k", "4", "--out", str(out)]) == 1
+        assert main(["run", "density", "--k", "4", flag, value, "--out", str(out)]) == 1
         assert capsys.readouterr().err.strip() == message
         assert not out.exists()
 

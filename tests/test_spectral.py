@@ -272,6 +272,25 @@ class TestEstimateDensity:
         with pytest.raises(ValueError, match="eigenvalues must be finite"):
             estimate_density(pools)
 
+    @pytest.mark.parametrize("pools, message", [
+        ([[-1e308, 1e308]], r"range \[-1e\+308, 1e\+308\] is wider than a float holds"),
+        ([[-1e308], [1e308]], r"range \[-1e\+308, 1e\+308\] is wider than a float holds"),
+        ([[0.0, 0.0, 1.7e308, 1.7e308]], r"twice the IQR of the eigenvalue range \[0, 1.7e\+308\]"),
+        ([[-8e307, 8e307]], None),
+        ([[0.0, 1.7e308]], None),
+    ], ids=["range", "range-two-pools", "iqr", "wide-range-runs", "wide-iqr-runs"])
+    def test_overflowing_range_rejected(self, pools, message):
+        # refused by name before the overflow (warnings are errors); a range
+        # whose width arithmetic stays finite runs, on the whole range
+        if message is None:
+            density = estimate_density(pools)
+            assert density.edges[0] == min(map(min, pools))
+            assert density.edges[-1] == max(map(max, pools))
+            assert np.isfinite(density.weights).all()
+        else:
+            with pytest.raises(ValueError, match=message):
+                estimate_density(pools)
+
     def test_l1_against_mckay_bulk(self):
         # ensemble-averaged histogram converges to the shifted McKay law
         mats = [laplacian(sample_regular_graph(500, 20, seed=s)) for s in range(50)]
