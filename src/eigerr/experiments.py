@@ -42,6 +42,7 @@ from .hdensity import F_H, HDensityParams, f_H, tail_report
 from .spectral import (
     GapRecords,
     SpectralDensity,
+    _openblas,
     checked_spectrum,
     estimate_density,
     extract_gap_records,
@@ -149,18 +150,15 @@ class ExperimentConfig:
 
 @cache
 def _openblas_threads():
-    # (get, set) of numpy's bundled OpenBLAS thread count, or None under
-    # another BLAS build. Looked up on first use, not on import.
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        try:
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
+    # (get, set) of the thread count of the OpenBLAS that eig_sym solves
+    # with, or None under another BLAS build, where eig_sym runs numpy's.
+    lib = _openblas()
+    if lib is None:
+        return None
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 _BLAS_PIN = threading.Lock()

@@ -8,8 +8,11 @@ histogram of ``estimate_density``, whose equal bins tile the pooled range.
 
 from __future__ import annotations
 
+import ctypes
 import numbers
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -32,28 +35,89 @@ def _scalar_if_0d(out):
     return out.item() if out.ndim == 0 else out
 
 
+@cache
+def _openblas():
+    # numpy's bundled OpenBLAS (64-bit LAPACK integers, scipy_-prefixed
+    # symbols) as a ctypes library with dsyevd's signature set, or None under
+    # another BLAS build. Looked up on first use, not on import; the BLAS pin
+    # in experiments binds this same library.
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_dsyevd_64_"):
+            i64 = np.ctypeslib.ndpointer(np.int64, shape=(1,))
+            f64 = np.ctypeslib.ndpointer(np.float64, ndim=1)
+            lib.scipy_dsyevd_64_.restype = None
+            lib.scipy_dsyevd_64_.argtypes = [  # the last two: the lengths of jobz and uplo
+                ctypes.c_char_p, ctypes.c_char_p, i64,
+                np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS"), i64,
+                f64, f64, i64, np.ctypeslib.ndpointer(np.int64, ndim=1), i64, i64,
+                ctypes.c_size_t, ctypes.c_size_t]
+            return lib
+    return None
+
+
+def _dsyevd(lib, a, jobz):
+    # Eigenvalues of the symmetric F-ordered square a from LAPACK dsyevd on its
+    # lower triangle, as numpy's eigh/eigvalsh call it; with jobz b"V" LAPACK
+    # overwrites a with the eigenvectors. The workspace is LAPACK's own query
+    # (lwork = liwork = -1), as numpy sizes it: a smaller one that LAPACK
+    # accepts can send dsytrd to its unblocked code, and other bits.
+    n = np.array([a.shape[0]])
+    lda = np.maximum(n, 1)
+    w, info = np.empty(a.shape[0]), np.zeros(1, dtype=np.int64)
+    work, iwork, query = np.empty(1), np.empty(1, dtype=np.int64), np.array([-1])
+    lib.scipy_dsyevd_64_(jobz, b"L", n, a, lda, w, work, query, iwork, query, info, 1, 1)
+    work, iwork = np.empty(int(work[0])), np.empty(iwork[0], dtype=np.int64)
+    lib.scipy_dsyevd_64_(jobz, b"L", n, a, lda, w, work, np.array([work.size]),
+                         iwork, np.array([iwork.size]), info, 1, 1)
+    if info[0] > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def eig_sym(m, eigvals_only=False):
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as orthonormal columns, or the eigenvalues alone with
-    ``eigvals_only=True`` (a cheaper solve that forms no vectors).
-    The input must be symmetric to within 1e-10 relative to its largest
-    entry; the decomposition is exactly that of (m + m.T)/2, which is m
-    itself when m is exactly symmetric (then no copy is made).
+    eigenvectors as orthonormal columns (column i belongs to eigenvalue i),
+    or the eigenvalues alone with ``eigvals_only=True`` (a cheaper solve
+    that forms no vectors). A NaN or infinite entry raises ``ValueError``
+    naming it. The input must be symmetric to within 1e-10 relative to its
+    largest entry; the decomposition is exactly that of (m + m.T)/2, which
+    is m itself when m is exactly symmetric.
+
+    With numpy's bundled OpenBLAS, LAPACK's dsyevd solves one Fortran-ordered
+    copy of the input and writes the eigenvectors over it, and that copy is
+    V (so V is F-ordered). With the input and dsyevd's 2p^2 workspace the
+    solve holds 4p^2 floats, where ``np.linalg.eigh`` holds a separate V as
+    well. The workspace is sized as numpy sizes it, so the bits are
+    ``np.linalg.eigh``'s and ``eigvalsh``'s; under any other BLAS build those
+    two are the solve. Non-convergence raises ``np.linalg.LinAlgError``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"matrix entry ({i}, {j}) is {m[i, j]}, not finite")
+    lib = _openblas()
     if not np.array_equal(m, m.T):
         scale = np.abs(m).max()
         if scale > 0 and np.abs(m - m.T).max() > 1e-10 * scale:
             raise ValueError("matrix is not symmetric within tolerance")
-        m = (m + m.T) / 2.0
+        # summed straight into the F-ordered buffer that LAPACK solves in place
+        m = np.add(m, m.T, out=np.empty(m.shape, order="F"))
+        m /= 2.0
+    elif lib is not None:
+        m = np.array(m, order="F")
+    if lib is None:
+        if eigvals_only:
+            return np.linalg.eigvalsh(m)
+        w, v = np.linalg.eigh(m)
+        return w, v
     if eigvals_only:
-        return np.linalg.eigvalsh(m)
-    w, v = np.linalg.eigh(m)
-    return w, v
+        return _dsyevd(lib, m, b"N")
+    return _dsyevd(lib, m, b"V"), m
 
 
 def _rounding(ev):

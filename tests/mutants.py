@@ -26,6 +26,21 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (name, file under src/eigerr, exact old text, new text, killer node IDs)
 MUTANTS = [
+    # dsyevd's documented minimum workspace for jobz 'N' sends dsytrd to its
+    # unblocked code: other eigenvalue bits than numpy's eigvalsh.
+    ("eigenvalue-only workspace at its minimum", "spectral.py",
+     "work, iwork = np.empty(int(work[0])), np.empty(iwork[0], dtype=np.int64)",
+     "work, iwork = (np.empty(int(work[0]) if jobz == b\"V\" else 2 * a.shape[0] + 1),\n"
+     "                   np.empty(iwork[0], dtype=np.int64))",
+     ["tests/test_spectral.py::TestEigSym::test_bits_equal_numpy"]),
+    ("dsyevd info ignored", "spectral.py",
+     "if info[0] > 0:",
+     "if False:",
+     ["tests/test_spectral.py::TestEigSym::test_nonconvergence_raises"]),
+    ("eig_sym finiteness check dropped", "spectral.py",
+     "if not np.isfinite(m).all():",
+     "if False:",
+     ["tests/test_spectral.py::TestEigSym::test_non_finite_entry_refused"]),
     ("tie tolerance", "spectral.py",
      "tied = np.flatnonzero(gaps <= tol)",
      "tied = np.flatnonzero(gaps < tol)",

@@ -1,6 +1,8 @@
 """Eigensolver contract, density models, gap records, and spacing surmises."""
 
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +17,111 @@ from eigerr import (
     laplacian,
     mckay_density,
     sample_regular_graph,
+    spectral,
+    sqrt_psd,
     wigner_surmise_cdf,
     wigner_surmise_pdf,
 )
+from eigerr.wishart import child_seed, eigenvalue_root, sample_wishart_scaled
+
+
+@pytest.fixture(scope="module")
+def solver_cases():
+    # name -> matrix: the p=1000 population and sample solves of the runs,
+    # small random symmetric matrices, and one that takes the symmetrizing branch
+    rng = np.random.default_rng(2024)
+    c = laplacian(sample_regular_graph(1000, 20, child_seed(3, 0, 0)))
+    root = eigenvalue_root(c.eigenvalues)
+    cases = {"laplacian": c.matrix,
+             "wishart-1e3": sample_wishart_scaled(root, 10 ** 3, child_seed(3, 1, 0)),
+             "wishart-1e10": sample_wishart_scaled(root, 10 ** 10, child_seed(3, 1, 1))}
+    for size in (1, 2, 3, 50):
+        m = rng.standard_normal((size, size))
+        cases[f"symmetric-{size}"] = m + m.T
+    skewed = cases["symmetric-50"].copy()
+    skewed[3, 7] += 1e-12
+    cases["near-symmetric"] = skewed
+    return cases
+
+
+def _without_openblas(monkeypatch):
+    monkeypatch.setattr(spectral, "_openblas", lambda: None)
+
+
+def _needs_openblas():
+    if spectral._openblas() is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
 
 
 class TestEigSym:
+    @pytest.mark.parametrize("path", ["lapack", "numpy"])
+    @pytest.mark.parametrize("case", ["laplacian", "wishart-1e3", "wishart-1e10", "symmetric-1",
+                                      "symmetric-2", "symmetric-3", "symmetric-50",
+                                      "near-symmetric"])
+    def test_bits_equal_numpy(self, solver_cases, case, path, monkeypatch):
+        # eig_sym gives np.linalg.eigh's and eigvalsh's bits of the symmetrized
+        # input, on the LAPACK path and on the numpy fallback alike.
+        if path == "lapack":
+            _needs_openblas()
+        else:
+            _without_openblas(monkeypatch)
+        m = solver_cases[case]
+        sym = m if np.array_equal(m, m.T) else (m + m.T) / 2.0
+        w, v = eig_sym(m)
+        w_ref, v_ref = np.linalg.eigh(sym)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        assert np.array_equal(eig_sym(m, eigvals_only=True), np.linalg.eigvalsh(sym))
+        if path == "lapack":  # V is the solved copy itself
+            assert v.flags.f_contiguous
+
+    def test_nonconvergence_raises(self, monkeypatch, rng):
+        _needs_openblas()
+        real = spectral._openblas()
+
+        def failing(*args):
+            real.scipy_dsyevd_64_(*args)
+            args[10][0] = 1  # info, as dsyevd sets it when it does not converge
+
+        monkeypatch.setattr(spectral, "_openblas",
+                            lambda: SimpleNamespace(scipy_dsyevd_64_=failing))
+        m = rng.standard_normal((10, 10))
+        for eigvals_only in (False, True):
+            with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+                eig_sym(m + m.T, eigvals_only=eigvals_only)
+
+    @pytest.mark.parametrize("path", ["lapack", "numpy"])
+    @pytest.mark.parametrize("bad, where", [
+        ([[np.nan, 1.0], [1.0, 0.0]], r"entry \(0, 0\) is nan"),
+        ([[np.inf, 1.0], [1.0, 0.0]], r"entry \(0, 0\) is inf"),
+        ([[0.0, 1.0], [-np.inf, 0.0]], r"entry \(1, 0\) is -inf"),
+    ], ids=["nan", "inf", "off-diagonal"])
+    def test_non_finite_entry_refused(self, bad, where, path, monkeypatch):
+        # At the parent the NaN case solved to finite eigenvalues +-sqrt(2).
+        if path == "numpy":
+            _without_openblas(monkeypatch)
+        for eigvals_only in (False, True):
+            with pytest.raises(ValueError, match=f"{where}, not finite"):
+                eig_sym(bad, eigvals_only=eigvals_only)
+        with pytest.raises(ValueError, match=f"{where}, not finite"):
+            sqrt_psd(bad)
+
+    def test_one_buffer_for_the_solve(self, rng):
+        # The F-ordered copy that LAPACK overwrites with V, and dsyevd's
+        # (1 + 6p + 2p^2)-float workspace: 3p^2 + O(p) floats of traced
+        # allocation. A second copy or a separate V adds p^2 more.
+        _needs_openblas()
+        p = 400
+        m = rng.standard_normal((p, p))
+        m = m + m.T
+        eig_sym(m)  # the lookup, outside the trace
+        tracemalloc.start()
+        try:
+            eig_sym(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * p * p + 20 * p)
+
     def test_diagonal(self):
         w, v = eig_sym(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
