@@ -1,8 +1,10 @@
 """Experiment orchestration: desk-scale reproductions of the validation runs.
 
-Each experiment is a deterministic function of (config, seed) that returns
-its analysis-ready CSV/JSON outputs; `run` alone serializes them, writes them
-and records their content hashes in a manifest. Every seeded unit of a run
+`run` samples an experiment's ensemble once (the M, one or no spectra its
+runner reads, each graph's connectivity, and rho, the ensemble's closed-form
+density: McKay's law) and hands it to the runner, a pure analysis that
+returns its CSV/JSON outputs; `run` alone serializes them, writes them and
+records their content hashes in a manifest. Every seeded unit of a run
 draws from ``child_seed(seed, stream, i)``, and replicate r within it from
 ``child_seed(seed, stream, i, r)``. The stream keys are 0 for the i-th graph
 of an ensemble, and 1 and 2 for `_bootstraps`, the one bootstrap step: 1 for
@@ -198,18 +200,17 @@ def _fan_out(config, stream, count, fn):
         return list(pool.map(fn, range(count), seeds))
 
 
-def _sample_ensemble(config, count=None):
+def _sample_ensemble(config, count):
     # (count, p) Laplacian spectra, one row per graph, and the graphs'
     # connectivity. Each dense Laplacian is dropped once its eigensolve is
     # done: every runner needs only eigenvalues.
-    count = config.M if count is None else count
-
-    def build(_, seed):
+    def build(i, seed):
         g = sample_regular_graph(config.p, config.k, seed)
-        return laplacian(g).eigenvalues, is_connected(g)
+        spectra[i] = laplacian(g).eigenvalues
+        return is_connected(g)
 
-    spectra, connected = zip(*_fan_out(config, 0, count, build))
-    return np.array(spectra), connected
+    spectra = np.empty((count, config.p))
+    return spectra, _fan_out(config, 0, count, build)
 
 
 def _ensemble_density(spectra):
@@ -302,27 +303,24 @@ def _json_bytes(payload):
     return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
-def _run_density(config):
-    spectra, connected = _sample_ensemble(config)
+def _run_density(config, spectra, connected, rho):
     density = _ensemble_density(spectra)
     edges = density.edges
     grid = 0.5 * (edges[:-1] + edges[1:])
-    mckay = SpectralDensity.mckay(config.k)
     return {
-        "density.csv": {"lambda": grid, "rho_empirical": density.weights, "rho_mckay": mckay(grid)},
+        "density.csv": {"lambda": grid, "rho_empirical": density.weights, "rho_mckay": rho(grid)},
         "stats.json": {"matrices": config.M, "bin_width": float(edges[1] - edges[0]),
                        "disconnected": int(sum(not c for c in connected))},
     }
 
 
-def _run_spacing(config):
-    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0, config.delta)
-    spectra, _ = _sample_ensemble(config)
+def _run_spacing(config, spectra, connected, rho):
+    rho0 = _density_at(rho, "McKay", config.lambda0, config.delta)
     records, _ = _window_records(spectra, config.lambda0, config.delta)
     normalized = config.p * records.s_plus
     # KS against the surmise for t = p*s with scale rho(lambda0).
     t_sorted = np.sort(normalized)
-    cdf = wigner_surmise_cdf(t_sorted, 1.0, rho)
+    cdf = wigner_surmise_cdf(t_sorted, 1.0, rho0)
     steps = np.arange(1, t_sorted.size + 1) / t_sorted.size
     ks = float(np.max(np.maximum(np.abs(steps - cdf),
                                  np.abs(steps - 1.0 / t_sorted.size - cdf))))
@@ -331,24 +329,23 @@ def _run_spacing(config):
     return {
         "gaps.csv": dict(zip(["index", "lambda", "s_minus", "s_plus"], records)),
         "spacing.csv": {"s_normalized": centers, "empirical_pdf": hist,
-                        "surmise_pdf": wigner_surmise_pdf(centers, 1.0, rho)},
-        "stats.json": {"ks_statistic": ks, "gap_count": records.index.size, "rho_mckay": rho},
+                        "surmise_pdf": wigner_surmise_pdf(centers, 1.0, rho0)},
+        "stats.json": {"ks_statistic": ks, "gap_count": records.index.size, "rho_mckay": rho0},
     }
 
 
-def _run_joint_gaps(config):
-    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0, config.delta)
-    spectra, _ = _sample_ensemble(config)
+def _run_joint_gaps(config, spectra, connected, rho):
+    rho0 = _density_at(rho, "McKay", config.lambda0, config.delta)
     records, _ = _window_records(spectra, config.lambda0, config.delta)
     count = records.index.size
-    a = config.p * rho
+    a = config.p * rho0
     hi = 3.5 / a
     nb = 10
     edges = np.linspace(0.0, hi, nb + 1)
     counts, _, _ = np.histogram2d(records.s_minus, records.s_plus, bins=[edges, edges])
     p_emp = counts / count
     centers = 0.5 * (edges[:-1] + edges[1:])
-    p_mod = _joint_cell_masses(edges, config.p, rho)
+    p_mod = _joint_cell_masses(edges, config.p, rho0)
     l1 = float(np.abs(p_emp - p_mod).sum() + abs(p_emp.sum() - p_mod.sum()))
     c_minus, c_plus = np.meshgrid(centers, centers, indexing="ij")
     return {
@@ -369,20 +366,20 @@ def _joint_cell_masses(edges, p, rho):
     return pdf.reshape(nb, nb, -1).sum(axis=-1) * dx[:, None] * dx[None, :]
 
 
-def _first_matrix(config):
+def _first_matrix(spectra):
     # The inputs of the first matrix's per-index table: its spectrum as a
     # one-row array, the density of all M spectra, and the records of every
     # interior index (the window 0 -+ inf, never empty as p > k >= 2) with
     # their matrix index. Each spectrum passes the gap guard, as a window's
     # records do: a disconnected matrix would put a second zero mode into
     # the density.
-    spectra = np.array([checked_spectrum(ev) for ev in _sample_ensemble(config)[0]])
+    spectra = np.array([checked_spectrum(ev) for ev in spectra])
     return (spectra[:1], _ensemble_density(spectra),
             *_window_records(spectra[:1], 0.0, np.inf))
 
 
-def _run_hhat_vs_h(config):
-    cols = _index_columns(config, *_first_matrix(config))
+def _run_hhat_vs_h(config, spectra, connected, rho):
+    cols = _index_columns(config, *_first_matrix(spectra))
     hx, hh, hh0 = cols["h_exact"], cols["h_hat"], cols["h_hat_uncorrected"]
     log_corr = float(np.corrcoef(np.log(hx), np.log(hh))[0, 1])
     lower = hx <= np.median(hx)
@@ -397,8 +394,8 @@ def _run_hhat_vs_h(config):
     }
 
 
-def _run_bootstrap_vs_hhat(config):
-    first, *rest = _first_matrix(config)
+def _run_bootstrap_vs_hhat(config, spectra, connected, rho):
+    first, *rest = _first_matrix(spectra)
     (result,) = boots = _bootstraps(config, 1, [(first[0], config.n[0])])
     cols = _index_columns(config, first, *rest, boots)
     ok = ~cols["regime_violation"]
@@ -422,8 +419,7 @@ def _fh_table(grid, fh, params):
     return {"h": grid, "f_H": fh, "F_H": F_H(grid, params)}
 
 
-def _run_fh_density(config):
-    spectra, _ = _sample_ensemble(config)
+def _run_fh_density(config, spectra, connected, rho):
     density = _ensemble_density(spectra)
     rho0 = _density_at(density, "empirical", config.lambda0, config.delta)
     params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
@@ -445,10 +441,10 @@ def _run_fh_density(config):
     }
 
 
-def _run_tail(config):
+def _run_tail(config, spectra, connected, rho):
     # None of its outputs reads delta, so the window is lambda0 alone.
-    rho = _density_at(SpectralDensity.mckay(config.k), "McKay", config.lambda0, 0.0)
-    params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho)
+    rho0 = _density_at(rho, "McKay", config.lambda0, 0.0)
+    params = HDensityParams(lam=config.lambda0, p=config.p, rho=rho0)
     report = tail_report(params)
     return {
         "tail.json": {"slope": report.fitted_slope, "window": list(report.window),
@@ -457,8 +453,8 @@ def _run_tail(config):
     }
 
 
-def _run_bound_scatter(config):
-    (ev,), _ = _sample_ensemble(config, count=1)
+def _run_bound_scatter(config, spectra, connected, rho):
+    (ev,) = spectra
     hx = h_exact_all(ev)
     boots = _bootstraps(config, 2, [(ev, n) for n in config.n])
     # One (n, replicate, index) cell per row, in file order. The n column
@@ -479,15 +475,15 @@ def _run_bound_scatter(config):
                                   for c, v in columns.items()}}
 
 
-EXPERIMENTS = {
-    "density": _run_density,
-    "spacing": _run_spacing,
-    "joint-gaps": _run_joint_gaps,
-    "hhat-vs-h": _run_hhat_vs_h,
-    "bootstrap-vs-hhat": _run_bootstrap_vs_hhat,
-    "fh-density": _run_fh_density,
-    "tail": _run_tail,
-    "bound-scatter": _run_bound_scatter,
+EXPERIMENTS = {  # name -> (spectra its runner reads, None for M; runner)
+    "density": (None, _run_density),
+    "spacing": (None, _run_spacing),
+    "joint-gaps": (None, _run_joint_gaps),
+    "hhat-vs-h": (None, _run_hhat_vs_h),
+    "bootstrap-vs-hhat": (None, _run_bootstrap_vs_hhat),
+    "fh-density": (None, _run_fh_density),
+    "tail": (0, _run_tail),
+    "bound-scatter": (1, _run_bound_scatter),
 }
 
 
@@ -512,8 +508,11 @@ def run(experiment, config):
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
+    count, runner = EXPERIMENTS[experiment]
+    spectra, connected = _sample_ensemble(config, config.M if count is None else count)
+    outputs = runner(config, spectra, connected, SpectralDensity.mckay(config.k))
     data = {name: _csv_bytes(content) if name.endswith(".csv") else _json_bytes(content)
-            for name, content in EXPERIMENTS[experiment](config).items()}
+            for name, content in outputs.items()}
     manifest = {
         "experiment": experiment,
         "config": config.as_dict(),
@@ -540,7 +539,7 @@ def validate(config):
     `bound_n` its h/2 bound, and each configured n below that bound adds a
     `regime_violation` warning. `ok` is true when there is no warning.
     """
-    spectra, _ = _sample_ensemble(config, count=min(config.M, 5))
+    spectra, _ = _sample_ensemble(config, min(config.M, 5))
     warnings = []
     try:
         rho0 = _density_at(_ensemble_density(spectra), "empirical", config.lambda0, config.delta)

@@ -45,6 +45,18 @@ MUTANTS = [
      "tied = np.flatnonzero(gaps <= tol)",
      "tied = np.flatnonzero(gaps < tol)",
      ["tests/test_spectral.py::TestGapRecords::test_ties_rejected"]),
+    ("no tie below a nonzero gap", "spectral.py",
+     "tied = np.flatnonzero(gaps <= tol)",
+     "tied = np.flatnonzero(gaps <= 0)",
+     ["tests/test_spectral.py::TestGapRecords::test_ties_rejected"]),
+    ("tie scale doubled", "spectral.py",
+     "tol = _rounding(ev)",
+     "tol = 2 * _rounding(ev)",
+     ["tests/test_spectral.py::TestGapRecords::test_ties_rejected"]),
+    ("_rounding without the factor ev.size", "spectral.py",
+     "np.finfo(float).eps * ev.size * np.abs(ev).max(initial=0.0)",
+     "np.finfo(float).eps * np.abs(ev).max(initial=0.0)",
+     ["tests/test_spectral.py::TestGapRecords::test_ties_rejected"]),
     ("residual abs", "estimators.py",
      "dots = np.abs(np.diagonal(v))",
      "dots = np.diagonal(v)",
@@ -65,6 +77,24 @@ MUTANTS = [
      '(("lambda0", lambda0), ("lambda", lambda0 - delta), ("lambda", lambda0 + delta))',
      '(("lambda0", lambda0),)',
      ["tests/test_experiments.py::TestCli::test_runtime_error_exit_two"]),
+    ("_density_at without the lower end", "experiments.py",
+     '("lambda", lambda0 - delta), ',
+     "",
+     ["tests/test_experiments.py::TestCli::test_runtime_error_exit_two"]),
+    ("_density_at without the upper end", "experiments.py",
+     ', ("lambda", lambda0 + delta))',
+     ")",
+     ["tests/test_experiments.py::TestValidate::test_window_outside_bulk_near_edge"]),
+    # hhat-vs-h and bootstrap-vs-hhat take their records from the first
+    # matrix alone: unchecked, a tie in a later one reaches the density.
+    ("_first_matrix without checked_spectrum", "experiments.py",
+     "spectra = np.array([checked_spectrum(ev) for ev in spectra])",
+     "spectra = np.array(spectra)",
+     ["tests/test_experiments.py::TestCli::test_later_disconnected_matrix_refused"]),
+    ("tail reads delta", "experiments.py",
+     'rho0 = _density_at(rho, "McKay", config.lambda0, 0.0)',
+     'rho0 = _density_at(rho, "McKay", config.lambda0, config.delta)',
+     ["tests/test_experiments.py::TestRunners::test_tail_ignores_delta"]),
     ("pool seeds reversed", "experiments.py",
      "seeds = [child_seed(config.seed, stream, i) for i in range(count)]",
      "seeds = [child_seed(config.seed, stream, i) for i in range(count)][::-1]",

@@ -221,6 +221,27 @@ class TestRunners:
         rows = read_csv(tmp_path / "fh_tail.csv")[1:]
         assert [(float(h), float(fh)) for h, fh, _ in rows] == list(zip(report.h_grid, report.fh))
 
+    def test_graphs_sampled_per_entry_point(self, tmp_path, monkeypatch):
+        # run() samples each ensemble once, as many graphs as its runner reads,
+        # and validate() its own pilot of min(M, 5): no byte would show a
+        # runner that samples more than it needs.
+        calls = []
+        sample = experiments.sample_regular_graph
+        monkeypatch.setattr(experiments, "sample_regular_graph",
+                            lambda *args: calls.append(args) or sample(*args))
+        counts = {}
+        for experiment in EXPERIMENTS:
+            calls.clear()
+            run(experiment, ExperimentConfig(out=tmp_path / experiment, n=(10 ** 6,), **SMALL))
+            counts[experiment] = len(calls)
+        for m in (SMALL["M"], 7):
+            calls.clear()
+            validate(ExperimentConfig(n=(10 ** 6,), **{**SMALL, "M": m}))
+            counts[f"validate-M{m}"] = len(calls)
+        M = SMALL["M"]
+        assert counts == {**{e: M for e in EXPERIMENTS}, "tail": 0, "bound-scatter": 1,
+                          f"validate-M{M}": M, "validate-M7": 5}
+
     def test_tail_ignores_delta(self, tmp_path):
         # No output of tail reads delta: a window at lambda0 = 7 that crosses
         # McKay's upper edge 4 + 2 sqrt(3) is not refused, and delta moves no byte.
@@ -238,7 +259,8 @@ class TestRunners:
         # range, so none reads rho = 0 and loses h_hat's correction term.
         cfg = ExperimentConfig(p=200, k=20, M=3, R=3, n=(10 ** 8,), lambda0=20.0,
                                delta=2.0, seed=11)
-        _, density, records, _ = experiments._first_matrix(cfg)
+        spectra, _ = experiments._sample_ensemble(cfg, cfg.M)
+        _, density, records, _ = experiments._first_matrix(spectra)
         assert records.index.size == 198
         assert (density(records.lam) > 0).all()
 
@@ -353,7 +375,9 @@ class TestRunners:
         cfg = ExperimentConfig(out=tmp_path, n=(10 ** 6,), **SMALL)
         manifest = run(experiment, cfg)
         listed = [o["path"] for o in manifest["outputs"]]
-        assert listed == list(EXPERIMENTS[experiment](cfg))
+        count, runner = EXPERIMENTS[experiment]
+        spectra, connected = experiments._sample_ensemble(cfg, cfg.M if count is None else count)
+        assert listed == list(runner(cfg, spectra, connected, SpectralDensity.mckay(cfg.k)))
         assert sorted(listed) == sorted(f.name for f in tmp_path.iterdir() if f.name != "manifest.json")
         for entry in manifest["outputs"]:
             digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
@@ -501,13 +525,13 @@ class TestBlasPin:
         get, put = _openblas()
         seen = []
 
-        def slow(config):
+        def slow(config, spectra, connected, rho):
             seen.append(get())
             time.sleep(0.05)
             seen.append(get())
             return {}
 
-        monkeypatch.setitem(experiments.EXPERIMENTS, "density", slow)
+        monkeypatch.setitem(experiments.EXPERIMENTS, "density", (None, slow))
         before = get()
         put(2)
         try:
@@ -535,7 +559,7 @@ class TestWriters:
         with pytest.raises(ValueError, match="zip"):
             _csv_bytes(ragged)
         monkeypatch.setitem(experiments.EXPERIMENTS, "tail",
-                            lambda config: {"tail.json": {}, "fh_tail.csv": ragged})
+                            (0, lambda config, *_: {"tail.json": {}, "fh_tail.csv": ragged}))
         with pytest.raises(ValueError, match="zip"):
             run("tail", ExperimentConfig(out=tmp_path / "out", **SMALL))
         assert not any(f.is_file() for f in tmp_path.rglob("*"))
