@@ -10,24 +10,21 @@ draws from ``child_seed(seed, stream, i)``, and replicate r within it from
 of an ensemble, and 1 and 2 for `_bootstraps`, the one bootstrap step: 1 for
 the i-th matrix, 2 for `bound-scatter`'s i-th n. So results do not depend on
 execution order or pool width, and `run` and `validate` hold numpy's bundled
-OpenBLAS to one thread, so nor on the host's BLAS thread count.
+OpenBLAS to one thread (`spectral._one_blas_thread`), so nor on the host's
+BLAS thread count.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import io
 import json
 import numbers
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +41,7 @@ from .hdensity import F_H, HDensityParams, f_H, tail_report
 from .spectral import (
     GapRecords,
     SpectralDensity,
-    _openblas,
+    _one_blas_thread,
     checked_spectrum,
     estimate_density,
     extract_gap_records,
@@ -148,42 +145,6 @@ class ExperimentConfig:
         d["n"] = list(self.n)
         d["out"] = str(self.out)
         return d
-
-
-@cache
-def _openblas_threads():
-    # (get, set) of the thread count of the OpenBLAS that eig_sym solves
-    # with, or None under another BLAS build, where eig_sym runs numpy's.
-    lib = _openblas()
-    if lib is None:
-        return None
-    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-_BLAS_PIN = threading.Lock()
-
-
-@contextmanager
-def _one_blas_thread():
-    # More BLAS threads split LAPACK's sums differently, which moves the last
-    # digits of the eigenvalues, and oversubscribe the cores under a pool.
-    # Pinned calls take turns, so that none restores the count while another
-    # runs. As a decorator it pins each call anew.
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    with _BLAS_PIN:
-        before = get()
-        put(1)
-        try:
-            yield
-        finally:
-            put(before)
 
 
 def _fan_out(config, stream, count, fn):

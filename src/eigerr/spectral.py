@@ -4,12 +4,19 @@ and the GOE spacing surmises.
 A bulk density rho is a function of lambda: McKay's law for the k-regular
 Laplacian spectrum (``SpectralDensity.mckay(k)``), or the ensemble-averaged
 histogram of ``estimate_density``, whose equal bins tile the pooled range.
+
+The one seam to numpy's bundled OpenBLAS is ``_openblas``: ``eig_sym``
+solves with its ``dsyevd``, and ``_one_blas_thread`` holds its thread count
+at one for `experiments.run` and `experiments.validate`. Under another BLAS
+build it is None: numpy's ``eigh``/``eigvalsh`` solve, and nothing is pinned.
 """
 
 from __future__ import annotations
 
 import ctypes
 import numbers
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -38,12 +45,13 @@ def _scalar_if_0d(out):
 @cache
 def _openblas():
     # numpy's bundled OpenBLAS (64-bit LAPACK integers, scipy_-prefixed
-    # symbols) as a ctypes library with dsyevd's signature set, or None under
-    # another BLAS build. Looked up on first use, not on import; the BLAS pin
-    # in experiments binds this same library.
+    # symbols) as a ctypes library with the signatures of dsyevd and of its
+    # thread count's get and set, or None under a BLAS build without all
+    # three. Looked up on first use, not on import.
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
-        if hasattr(lib, "scipy_dsyevd_64_"):
+        if all(hasattr(lib, "scipy_" + name) for name in (
+                "dsyevd_64_", "openblas_get_num_threads64_", "openblas_set_num_threads64_")):
             i64 = np.ctypeslib.ndpointer(np.int64, shape=(1,))
             f64 = np.ctypeslib.ndpointer(np.float64, ndim=1)
             lib.scipy_dsyevd_64_.restype = None
@@ -52,8 +60,33 @@ def _openblas():
                 np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS"), i64,
                 f64, f64, i64, np.ctypeslib.ndpointer(np.int64, ndim=1), i64, i64,
                 ctypes.c_size_t, ctypes.c_size_t]
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
             return lib
     return None
+
+
+_BLAS_PIN = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    # More BLAS threads split LAPACK's sums differently, which moves the last
+    # digits of the eigenvalues, and oversubscribe the cores under a pool.
+    # Pinned calls take turns, so that none restores the count while another
+    # runs. As a decorator it pins each call anew.
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    with _BLAS_PIN:
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(1)
+        try:
+            yield
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _dsyevd(lib, a, jobz):

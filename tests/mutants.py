@@ -57,6 +57,19 @@ MUTANTS = [
      "np.finfo(float).eps * ev.size * np.abs(ev).max(initial=0.0)",
      "np.finfo(float).eps * np.abs(ev).max(initial=0.0)",
      ["tests/test_spectral.py::TestGapRecords::test_ties_rejected"]),
+    # The one-thread pin of run() and validate() lives beside the library.
+    ("BLAS pin keeps the count it read", "spectral.py",
+     "lib.scipy_openblas_set_num_threads64_(1)",
+     "lib.scipy_openblas_set_num_threads64_(before)",
+     ["tests/test_experiments.py::TestBlasPin::test_pinned_for_the_call_and_restored[run]"]),
+    ("BLAS pin never restores", "spectral.py",
+     "        finally:\n            lib.scipy_openblas_set_num_threads64_(before)\n",
+     "        finally:\n            pass\n",
+     ["tests/test_experiments.py::TestBlasPin::test_pinned_for_the_call_and_restored[run]"]),
+    ("BLAS pin without its lock", "spectral.py",
+     "with _BLAS_PIN:",
+     "if True:",
+     ["tests/test_experiments.py::TestBlasPin::test_concurrent_calls_take_turns"]),
     ("residual abs", "estimators.py",
      "dots = np.abs(np.diagonal(v))",
      "dots = np.diagonal(v)",
@@ -103,6 +116,43 @@ MUTANTS = [
      "r, theta = sm[start:start + _MC_BLOCK], sp[start:start + _MC_BLOCK]",
      "r, theta = sm[start:start + _MC_BLOCK - 1], sp[start:start + _MC_BLOCK - 1]",
      ["tests/test_hdensity.py::TestSampler::test_blocked_equals_whole_array[unit-8192]"]),
+    # The float path's x_eq must round as the array path's _root does.
+    ("float x_eq under one sqrt", "hdensity.py",
+     "v + math.sqrt(v) * math.sqrt(v + 2.0)",
+     "v + math.sqrt(v * (v + 2.0))",
+     ["tests/test_hdensity.py::TestFixedRule::test_array_equals_scalar"]),
+    ("float h check skipped", "hdensity.py",
+     "        if not 0 < h < math.inf:\n            raise",
+     "        if False:\n            raise",
+     ["tests/test_hdensity.py::TestFixedRule::test_array_with_nonpositive_raises"]),
+    ("float h below the cut not clamped", "hdensity.py",
+     "v = h_unit / max(h, h_cut)",
+     "v = h_unit / h",
+     ["tests/test_hdensity.py::TestFixedRule::test_far_below_support_is_exactly_zero"]),
+    # All the uniforms drawn first, then the gammas: another stream order.
+    ("sampler draws its uniforms before its gammas", "hdensity.py",
+     "    sm = rng.standard_gamma(2.5, size)\n"
+     "    sp = np.empty(size)\n"
+     "    sin_theta = np.empty(min(size, _MC_BLOCK))\n"
+     "    rate = 3.0 * gauss_rate(params.a)\n"
+     "    for start in range(0, size, _MC_BLOCK):\n"
+     "        r, theta = sm[start:start + _MC_BLOCK], sp[start:start + _MC_BLOCK]\n"
+     "        sin_t = sin_theta[:r.size]\n"
+     "        np.multiply(2.0, np.sqrt(np.divide(r, rate, out=r), out=r), out=r)\n"
+     "        rng.random(out=theta)\n",
+     "    sp = rng.random(size)\n"
+     "    sm = rng.standard_gamma(2.5, size)\n"
+     "    sin_theta = np.empty(min(size, _MC_BLOCK))\n"
+     "    rate = 3.0 * gauss_rate(params.a)\n"
+     "    for start in range(0, size, _MC_BLOCK):\n"
+     "        r, theta = sm[start:start + _MC_BLOCK], sp[start:start + _MC_BLOCK]\n"
+     "        sin_t = sin_theta[:r.size]\n"
+     "        np.multiply(2.0, np.sqrt(np.divide(r, rate, out=r), out=r), out=r)\n",
+     ["tests/test_hdensity.py::TestSampler::test_blocked_equals_whole_array"]),
+    ("sampler returns s+ as s-", "hdensity.py",
+     "    return sm, sp\n",
+     "    return sp, sm\n",
+     ["tests/test_hdensity.py::TestSampler::test_blocked_equals_whole_array"]),
     # f_H x (1 + 0.05 u / (u + 1000)): 5% more tail past u ~ 1000, which the 9
     # acceptance criteria all pass; the closed-form tail law rejects it.
     ("f_H 5% tail", "hdensity.py",

@@ -19,7 +19,7 @@ import pytest
 from eigerr import HDensityParams, SpectralDensity, extract_gap_records, tail_report
 from eigerr import estimate_density, h_hat
 from eigerr import bootstrap_error, eigenvalue_root, replicate_residuals
-from eigerr import experiments, laplacian, sample_regular_graph
+from eigerr import experiments, laplacian, sample_regular_graph, spectral
 from eigerr.wishart import child_seed
 from eigerr.cli import _resolve, build_parser, main
 from eigerr.experiments import (
@@ -471,14 +471,15 @@ class TestBlasPin:
 
     def test_files_equal_at_one_and_two_blas_threads(self, tmp_path):
         # At p=1000 a second BLAS thread moved the last digits of all four
-        # data files. Each run is a fresh process started at its count.
+        # data files (p=200 is too small to show it). Each run is a fresh
+        # process started at its count, with a RuntimeWarning as an error.
         data = []
         for threads in ("1", "2"):
             out = tmp_path / threads
             subprocess.run(
-                [sys.executable, "-m", "eigerr.cli", "run", "fh-density", "--p", "1000",
-                 "--k", "20", "--M", "2", "--R", "1", "--n", "1e8", "--seed", "3",
-                 "--out", str(out)],
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "eigerr.cli", "run",
+                 "fh-density", "--p", "1000", "--k", "20", "--M", "2", "--R", "1",
+                 "--n", "1e8", "--seed", "3", "--out", str(out)],
                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)},
                 capture_output=True, timeout=300, check=True)
             data.append({f.name: f.read_bytes() for f in out.iterdir()
@@ -514,7 +515,7 @@ class TestBlasPin:
 
     def test_other_blas_runs_unpinned(self, tmp_path, monkeypatch):
         # Without the OpenBLAS symbols the run goes on at the host's count.
-        monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(spectral, "_openblas", lambda: None)
         cfg = ExperimentConfig(out=tmp_path, **SMALL)
         assert self._counts(monkeypatch, lambda: run("density", cfg)) == ([2], 2)
         assert (tmp_path / "density.csv").is_file()
