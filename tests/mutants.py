@@ -108,6 +108,16 @@ MUTANTS = [
      'rho0 = _density_at(rho, "McKay", config.lambda0, 0.0)',
      'rho0 = _density_at(rho, "McKay", config.lambda0, config.delta)',
      ["tests/test_experiments.py::TestRunners::test_tail_ignores_delta"]),
+    # A pool costs peak RSS and does no parallel work with one worker or one
+    # unit: --threads 1 starts none, and neither does a one-unit stage.
+    ("pool at width 1", "experiments.py",
+     "if min(config.threads, count) <= 1:",
+     "if count <= 1:",
+     ["tests/test_experiments.py::TestRunners::test_pool_only_for_two_units"]),
+    ("pool for one unit", "experiments.py",
+     "if min(config.threads, count) <= 1:",
+     "if config.threads <= 1:",
+     ["tests/test_experiments.py::TestRunners::test_pool_only_for_two_units"]),
     ("pool seeds reversed", "experiments.py",
      "seeds = [child_seed(config.seed, stream, i) for i in range(count)]",
      "seeds = [child_seed(config.seed, stream, i) for i in range(count)][::-1]",

@@ -265,32 +265,45 @@ class TestRunners:
         assert (density(records.lam) > 0).all()
 
     @pytest.mark.parametrize("experiment, extra", [
-        *(pytest.param(e, {}, id=e) for e in ["hhat-vs-h", "bootstrap-vs-hhat", "fh-density",
-                                               "bound-scatter", "spacing"]),
+        *(pytest.param(e, {}, id=e) for e in sorted(EXPERIMENTS)),
         # one-unit stages, which run on the calling thread at any width
         pytest.param("bound-scatter", {"n": (10 ** 6,)}, id="bound-scatter-one-n"),
         pytest.param("fh-density", {"M": 1}, id="fh-density-M1"),
     ])
     def test_determinism_across_runs_and_threads(self, tmp_path, experiment, extra):
-        # The pool width never moves a byte; bootstrap-vs-hhat and fh-density
-        # also bootstrap their matrices on the pool, and bound-scatter its n.
+        # The pool width never moves a byte, from one worker, through fewer
+        # workers than the M=3 matrices, to one per matrix; bootstrap-vs-hhat
+        # and fh-density also bootstrap their matrices on the pool, and
+        # bound-scatter its n.
         n = (60, 10 ** 6) if experiment == "bound-scatter" else (1000,)
         cfg = {**SMALL, "n": n, **extra}
-        out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        run(experiment, ExperimentConfig(out=out1, threads=1, **cfg))
-        run(experiment, ExperimentConfig(out=out2, threads=1, **cfg))
-        run(experiment, ExperimentConfig(out=out3, threads=3, **cfg))
-        data = sorted(f.name for f in out1.iterdir() if f.name != "manifest.json")
+        outs = []
+        for i, threads in enumerate((1, 1, 2, 3)):
+            outs.append(tmp_path / str(i))
+            run(experiment, ExperimentConfig(out=outs[-1], threads=threads, **cfg))
+        data = sorted(f.name for f in outs[0].iterdir() if f.name != "manifest.json")
         assert data
         for name in data:
-            ref = (out1 / name).read_bytes()
-            assert (out2 / name).read_bytes() == ref
-            assert (out3 / name).read_bytes() == ref
+            ref = (outs[0] / name).read_bytes()
+            for out in outs[1:]:
+                assert (out / name).read_bytes() == ref
+
+    def test_validate_report_equal_at_every_width(self):
+        # validate() samples its pilot of three matrices on the pool too; its
+        # report, past the config echo, reads the same at every width.
+        reports = []
+        for threads in (1, 2, 3):
+            report = validate(ExperimentConfig(n=(100, 10 ** 9), threads=threads, **SMALL))
+            assert report.pop("config")["threads"] == threads
+            reports.append(report)
+        assert reports[0]["pilot_h_hat"] is not None and reports[0]["warnings"]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_pool_only_for_two_units(self, tmp_path, monkeypatch):
-        # At width 2, a stage with one unit runs on the calling thread: no
-        # pool is started for a single task. A stage with more units than
-        # one still gets a pool, with one task per unit.
+        # At width 1 no stage starts a pool, whatever its units. At width 2, a
+        # stage with one unit runs on the calling thread: no pool is started
+        # for a single task. A stage with more units than one still gets a
+        # pool, with one task per unit.
         tasks = []
 
         class Recording(ThreadPoolExecutor):
@@ -300,6 +313,11 @@ class TestRunners:
                 return super().map(fn, *args)
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+        # M graphs and two n, each stage on the calling thread
+        cfg = {**SMALL, "threads": 1}
+        run("bootstrap-vs-hhat", ExperimentConfig(out=tmp_path / "one-b", n=(1000,), **cfg))
+        run("bound-scatter", ExperimentConfig(out=tmp_path / "one-c", n=(60, 10 ** 6), **cfg))
+        assert tasks == []
         cfg = {**SMALL, "threads": 2}
         # one graph and one n: both stages have one unit
         run("bound-scatter", ExperimentConfig(out=tmp_path / "a", n=(10 ** 6,), **cfg))
