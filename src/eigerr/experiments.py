@@ -115,7 +115,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
         for name in ("lambda0", "delta"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not isinstance(self.out, (str, os.PathLike)):  # Path(None) is a TypeError
+        # Path(None) is a TypeError, and Path("") is the current directory.
+        if not isinstance(self.out, (str, os.PathLike)) or not os.fspath(self.out):
             raise ConfigError(f"out must be a path, not {self.out!r}")
         object.__setattr__(self, "out", Path(self.out))
         problems = []

@@ -72,8 +72,9 @@ class HDensityParams:
         # tail_report's plateau carries p^3, so a negative p would flip its sign.
         _checked_int("p", self.p, 1)
         for name, value in (("lam", self.lam), ("rho", self.rho)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+            # a bool is no number here: lam=True would build with a = 1.0
+            if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, not {value!r}")
         object.__setattr__(self, "a", float(_gap_scale(self.p, self.rho)))
 
 

@@ -5,10 +5,11 @@ A bulk density rho is a function of lambda: McKay's law for the k-regular
 Laplacian spectrum (``SpectralDensity.mckay(k)``), or the ensemble-averaged
 histogram of ``estimate_density``, whose equal bins tile the pooled range.
 
-The one seam to numpy's bundled OpenBLAS is ``_openblas``: ``eig_sym``
-solves with its ``dsyevd``, and ``_one_blas_thread`` holds its thread count
-at one for `experiments.run` and `experiments.validate`. Under another BLAS
-build it is None: numpy's ``eigh``/``eigvalsh`` solve, and nothing is pinned.
+The one seam to numpy's bundled OpenBLAS is ``_openblas``: ``eig_sym``'s
+vector solve runs its ``dsyevd``, and ``_one_blas_thread`` holds its thread
+count at one for `experiments.run` and `experiments.validate`. Under another
+BLAS build it is None: numpy's ``eigh`` solves, and nothing is pinned.
+Eigenvalues alone come from numpy's ``eigvalsh`` on every build.
 """
 
 from __future__ import annotations
@@ -89,19 +90,19 @@ def _one_blas_thread():
             lib.scipy_openblas_set_num_threads64_(before)
 
 
-def _dsyevd(lib, a, jobz):
+def _dsyevd(lib, a):
     # Eigenvalues of the symmetric F-ordered square a from LAPACK dsyevd on its
-    # lower triangle, as numpy's eigh/eigvalsh call it; with jobz b"V" LAPACK
-    # overwrites a with the eigenvectors. The workspace is LAPACK's own query
-    # (lwork = liwork = -1), as numpy sizes it: a smaller one that LAPACK
-    # accepts can send dsytrd to its unblocked code, and other bits.
+    # lower triangle, as numpy's eigh calls it; LAPACK overwrites a with the
+    # eigenvectors. The workspace is LAPACK's own query (lwork = liwork = -1),
+    # as numpy sizes it: a smaller one that LAPACK accepts can send dsytrd to
+    # its unblocked code, and other bits.
     n = np.array([a.shape[0]])
     lda = np.maximum(n, 1)
     w, info = np.empty(a.shape[0]), np.zeros(1, dtype=np.int64)
     work, iwork, query = np.empty(1), np.empty(1, dtype=np.int64), np.array([-1])
-    lib.scipy_dsyevd_64_(jobz, b"L", n, a, lda, w, work, query, iwork, query, info, 1, 1)
+    lib.scipy_dsyevd_64_(b"V", b"L", n, a, lda, w, work, query, iwork, query, info, 1, 1)
     work, iwork = np.empty(int(work[0])), np.empty(iwork[0], dtype=np.int64)
-    lib.scipy_dsyevd_64_(jobz, b"L", n, a, lda, w, work, np.array([work.size]),
+    lib.scipy_dsyevd_64_(b"V", b"L", n, a, lda, w, work, np.array([work.size]),
                          iwork, np.array([iwork.size]), info, 1, 1)
     if info[0] > 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -119,13 +120,14 @@ def eig_sym(m, eigvals_only=False):
     largest entry; the decomposition is exactly that of (m + m.T)/2, which
     is m itself when m is exactly symmetric.
 
-    With numpy's bundled OpenBLAS, LAPACK's dsyevd solves one Fortran-ordered
-    copy of the input and writes the eigenvectors over it, and that copy is
-    V (so V is F-ordered). With the input and dsyevd's 2p^2 workspace the
-    solve holds 4p^2 floats, where ``np.linalg.eigh`` holds a separate V as
-    well. The workspace is sized as numpy sizes it, so the bits are
-    ``np.linalg.eigh``'s and ``eigvalsh``'s; under any other BLAS build those
-    two are the solve. Non-convergence raises ``np.linalg.LinAlgError``.
+    The eigenvalues alone are ``np.linalg.eigvalsh``'s on every BLAS build.
+    With vectors and numpy's bundled OpenBLAS, LAPACK's dsyevd solves one
+    Fortran-ordered copy of the input and writes the eigenvectors over it,
+    and that copy is V (so V is F-ordered). With the input and dsyevd's 2p^2
+    workspace the solve holds 4p^2 floats, where ``np.linalg.eigh`` holds a
+    separate V as well. The workspace is sized as numpy sizes it, so the bits
+    are ``np.linalg.eigh``'s; under any other BLAS build ``eigh`` is the
+    solve. Non-convergence raises ``np.linalg.LinAlgError``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -133,24 +135,18 @@ def eig_sym(m, eigvals_only=False):
     if not np.isfinite(m).all():
         i, j = np.argwhere(~np.isfinite(m))[0]
         raise ValueError(f"matrix entry ({i}, {j}) is {m[i, j]}, not finite")
-    lib = _openblas()
     if not np.array_equal(m, m.T):
         scale = np.abs(m).max()
         if scale > 0 and np.abs(m - m.T).max() > 1e-10 * scale:
             raise ValueError("matrix is not symmetric within tolerance")
-        # summed straight into the F-ordered buffer that LAPACK solves in place
-        m = np.add(m, m.T, out=np.empty(m.shape, order="F"))
-        m /= 2.0
-    elif lib is not None:
-        m = np.array(m, order="F")
-    if lib is None:
-        if eigvals_only:
-            return np.linalg.eigvalsh(m)
-        w, v = np.linalg.eigh(m)
-        return w, v
+        m = (m + m.T) / 2.0
     if eigvals_only:
-        return _dsyevd(lib, m, b"N")
-    return _dsyevd(lib, m, b"V"), m
+        return np.linalg.eigvalsh(m)
+    lib = _openblas()
+    if lib is None:
+        return tuple(np.linalg.eigh(m))
+    m = np.array(m, order="F")  # the one copy, which LAPACK overwrites with V
+    return _dsyevd(lib, m), m
 
 
 def _rounding(ev):

@@ -82,15 +82,16 @@ def sample_wishart_scaled(c_sqrt, n, seed):
     A p x p ``c_sqrt`` is the root R with C = R R^T and the draw is
     R (A A^T / n) R^T; a 1-D ``c_sqrt`` of length p is the diagonal root
     D^(1/2), applied as a row scaling, and the draw is D^(1/2) (A A^T / n)
-    D^(1/2), i.e. C_tilde in C's eigenbasis. Requires an integer n in the
+    D^(1/2), i.e. C_tilde in C's eigenbasis; a root of any other shape, a
+    non-square 2-D one too, raises ``ValueError``. Requires an integer n in the
     classical regime n >= p. Deterministic per seed: the same seed draws the
     same A for either kind of root. Returns the p x p draw as an array. numpy
     computes B B^T with one SYRK call, which mirrors one triangle, so the
     draw is exactly symmetric.
     """
     c_sqrt = np.asarray(c_sqrt, dtype=float)
-    if c_sqrt.ndim not in (1, 2):
-        raise ValueError(f"root must be 1-D or 2-D, got shape {c_sqrt.shape}")
+    if c_sqrt.ndim not in (1, 2) or c_sqrt.shape[-1] != c_sqrt.shape[0]:
+        raise ValueError(f"root must be 1-D or 2-D (p x p), got shape {c_sqrt.shape}")
     p = c_sqrt.shape[0]
     if _checked_int("sample count n", n, 1) < p:
         raise ValueError(f"need n >= p (classical regime), got n={n}, p={p}")

@@ -26,13 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (name, file under src/eigerr, exact old text, new text, killer node IDs)
 MUTANTS = [
-    # dsyevd's documented minimum workspace for jobz 'N' sends dsytrd to its
-    # unblocked code: other eigenvalue bits than numpy's eigvalsh.
-    ("eigenvalue-only workspace at its minimum", "spectral.py",
-     "work, iwork = np.empty(int(work[0])), np.empty(iwork[0], dtype=np.int64)",
-     "work, iwork = (np.empty(int(work[0]) if jobz == b\"V\" else 2 * a.shape[0] + 1),\n"
-     "                   np.empty(iwork[0], dtype=np.int64))",
-     ["tests/test_spectral.py::TestEigSym::test_bits_equal_numpy"]),
     ("dsyevd info ignored", "spectral.py",
      "if info[0] > 0:",
      "if False:",
@@ -82,10 +75,24 @@ MUTANTS = [
      "spawn_key=key)",
      "spawn_key=key[::-1])",
      ["tests/test_wishart.py::TestBartlettSampling::test_child_seed_composes"]),
+    # matmul refused a non-square 2-D root, after the draw, in its own words.
+    ("non-square 2-D root drawn", "wishart.py",
+     " or c_sqrt.shape[-1] != c_sqrt.shape[0]:",
+     ":",
+     ["tests/test_wishart.py::TestEigenvalueRoot::test_bad_root_shape_rejected"]),
     ("_agreed never raises", "hdensity.py",
      "    if failed:\n",
      "    if False:\n",
      ["tests/test_hdensity.py::TestFixedRule::test_fixed_rule_gate_is_relative"]),
+    ("HDensityParams takes a bool lam or rho", "hdensity.py",
+     "if isinstance(value, (bool, np.bool_)) or not (",
+     "if not (",
+     ["tests/test_hdensity.py::TestParams::test_rejects_bad_values"]),
+    # Path("") is the current directory: the run wrote its files there.
+    ("empty out accepted", "experiments.py",
+     " or not os.fspath(self.out):",
+     ":",
+     ["tests/test_experiments.py::TestConfig::test_non_path_out_rejected"]),
     ("_density_at centre only", "experiments.py",
      '(("lambda0", lambda0), ("lambda", lambda0 - delta), ("lambda", lambda0 + delta))',
      '(("lambda0", lambda0),)',

@@ -97,9 +97,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
             ExperimentConfig(**{"p": 10, "k": 2, name: raw})
 
-    @pytest.mark.parametrize("out", [None, 5], ids=["None", "int"])
+    @pytest.mark.parametrize("out", [None, 5, ""], ids=["None", "int", "empty"])
     def test_non_path_out_rejected(self, out):
-        # Path(None) and Path(5) raised TypeError, not the one ConfigError
+        # Path(None) and Path(5) raised TypeError, not the one ConfigError, and
+        # Path("") is the current directory, where the run wrote its files
         with pytest.raises(ConfigError, match="^out must be a path, not "):
             ExperimentConfig(p=10, k=2, out=out)
 

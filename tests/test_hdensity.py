@@ -57,8 +57,10 @@ class TestParams:
     def test_rejects_bad_values(self):
         nan, inf = float("nan"), float("inf")
         # A NaN rho would make f_H and F_H read 0.0 for every h.
+        # A bool is no number: lam=True built with a = 1.0.
         for lam, p, rho in [(0.0, 4, 0.25), (1.0, 4, 0.0), (1.0, 10, nan), (nan, 4, 0.25),
-                            (inf, 4, 0.25), (-inf, 4, 0.25), (1.0, 4, inf)]:
+                            (inf, 4, 0.25), (-inf, 4, 0.25), (1.0, 4, inf), (True, 4, 0.25),
+                            (1.0, 4, True), (np.True_, 4, 0.25)]:
             with pytest.raises(ValueError, match="positive"):
                 HDensityParams(lam=lam, p=p, rho=rho)
         # p and rho are checked apart: p = -1000, rho = -0.01 gives a = 10, but

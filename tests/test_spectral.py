@@ -85,9 +85,9 @@ class TestEigSym:
         monkeypatch.setattr(spectral, "_openblas",
                             lambda: SimpleNamespace(scipy_dsyevd_64_=failing))
         m = rng.standard_normal((10, 10))
-        for eigvals_only in (False, True):
-            with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-                eig_sym(m + m.T, eigvals_only=eigvals_only)
+        # eigenvalues alone come from np.linalg.eigvalsh, which raises its own
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            eig_sym(m + m.T)
 
     @pytest.mark.parametrize("path", ["lapack", "numpy"])
     @pytest.mark.parametrize("bad, where", [

@@ -1,5 +1,7 @@
 """PSD square root and scaled Wishart sampling via Bartlett."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,10 @@ class TestEigenvalueRoot:
                                        rtol=1e-14, atol=0.0)
 
     def test_bad_root_shape_rejected(self):
-        with pytest.raises(ValueError, match="1-D or 2-D"):
-            sample_wishart_scaled(np.ones((2, 2, 2)), 10, seed=0)
+        # a non-square 2-D root was refused only by matmul, after the draw
+        for shape in [(2, 2, 2), (3, 2), (2, 3)]:
+            with pytest.raises(ValueError, match=re.escape(f"(p x p), got shape {shape}")):
+                sample_wishart_scaled(np.ones(shape), 10, seed=0)
 
 
 def _former_draw(c_sqrt, n, seed):
